@@ -9,9 +9,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.special import softmax
 
 from . import tpp
 from .rng import stream
+from .splines import sigmoid
 from .tpp import TppModel
 from .models import ModelKind, build_model
 
@@ -306,7 +308,7 @@ def _soft_counts(boundaries, obs, gamma):
     for lo in range(0, s, chunk):
         hi = min(s, lo + chunk)
         x = (boundaries[lo:hi, :, None] - obs[None, None, :]) / gamma
-        sig = 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))
+        sig = sigmoid(x)
         sb[lo:hi] = sig.sum(axis=2)
         sbp[lo:hi] = (sig * (1.0 - sig)).sum(axis=2) / gamma
     return sb[:, 1:] - sb[:, :-1], sb, sbp
@@ -381,7 +383,7 @@ def elbo_relaxed(q_model: TppModel, params: MmppParams, obs: np.ndarray, n_sampl
         t3 = np.zeros(s)
         t6 = -_xlogx(mu[:, 0]).sum(axis=1)
     mask = paths.hard_mask if hard else paths.soft_mask
-    log_q = (mask * paths.jext).sum(axis=1) - paths.zbar[:, -1]
+    log_q = tpp.path_log_density(paths, relaxed=not hard)
     per_sample = t1 + t2 + t3 + t4 + t5 + t6 - log_q
     value = float(per_sample.mean())
     if not want_grads:
@@ -502,7 +504,7 @@ def fit_vi(obs: np.ndarray, params: MmppParams, horizon: float, mode: str = "pos
     st_t = AdamState.zeros(k + k * k + k)
     history = []
     for it in range(config.iters):
-        cur = MmppParams(_softmax(u_pi), np.exp(u_a), np.exp(u_lam))
+        cur = MmppParams(softmax(u_pi), np.exp(u_a), np.exp(u_lam))
         est = elbo_relaxed(q, cur, obs, config.mc_samples, config.gamma,
                            seed=config.seed * 1_000_003 + it)
         if not np.isfinite(est.value) or not np.all(np.isfinite(est.grad_q)):
@@ -510,7 +512,7 @@ def fit_vi(obs: np.ndarray, params: MmppParams, horizon: float, mode: str = "pos
         history.append(est.value)
         q.params.values, st_q = adam_step(q.params.values, -est.grad_q, st_q, config.lr)
         if mode == "learn":
-            pi = _softmax(u_pi)
+            pi = softmax(u_pi)
             g_upi = pi * (est.grad_pi - float(pi @ est.grad_pi))
             g_ua = np.exp(u_a) * est.grad_a
             g_ulam = np.exp(u_lam) * est.grad_lam
@@ -518,13 +520,8 @@ def fit_vi(obs: np.ndarray, params: MmppParams, horizon: float, mode: str = "pos
             gflat = -np.concatenate([g_upi, g_ua.ravel(), g_ulam])
             flat, st_t = adam_step(flat, gflat, st_t, config.lr)
             u_pi, u_a, u_lam = flat[:k], flat[k:k + k * k].reshape(k, k), flat[k + k * k:]
-    final = MmppParams(_softmax(u_pi), np.exp(u_a), np.exp(u_lam))
+    final = MmppParams(softmax(u_pi), np.exp(u_a), np.exp(u_lam))
     return ViResult(q, final, history)
-
-
-def _softmax(v):
-    e = np.exp(v - v.max())
-    return e / e.sum()
 
 
 def grid_times(horizon: float, n_grid: int) -> np.ndarray:

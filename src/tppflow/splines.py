@@ -20,8 +20,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import softmax
 
-__all__ = ["RqsSpline", "MIN_BIN", "MIN_DERIV", "make_knots", "forward", "inverse", "vjp"]
+__all__ = ["RqsSpline", "MIN_BIN", "MIN_DERIV", "sigmoid", "make_knots", "forward", "inverse",
+           "vjp"]
 
 MIN_BIN = 1e-3
 MIN_DERIV = 1e-3
@@ -63,22 +65,27 @@ class Knots(NamedTuple):
     sig_d: np.ndarray
 
 
-def _softmax(v):
-    e = np.exp(v - v.max())
-    return e / e.sum()
+def sigmoid(x):
+    """Logistic function 1 / (1 + exp(-x)), branch-free.
+
+    The clip keeps ``exp`` from overflowing.  It changes no result for
+    |x| <= 500; below -500 the value stays at sigmoid(-500) ~ 7e-218
+    instead of underflowing towards 0.
+    """
+    return 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
 
 
 def make_knots(spline: RqsSpline, theta: np.ndarray) -> Knots:
     tw, th, td = spline.split_params(np.asarray(theta, dtype=np.float64))
     m = spline.n_bins
-    sm_w = _softmax(tw)
-    sm_h = _softmax(th)
+    sm_w = softmax(tw)
+    sm_h = softmax(th)
     scale = 1.0 - m * MIN_BIN
     w = MIN_BIN + scale * sm_w
     h = MIN_BIN + scale * sm_h
     x = np.concatenate([[0.0], np.cumsum(w)])
     y = np.concatenate([[0.0], np.cumsum(h)])
-    sig_d = 1.0 / (1.0 + np.exp(-(td + _DERIV_SHIFT)))
+    sig_d = sigmoid(td + _DERIV_SHIFT)
     d = MIN_DERIV + np.logaddexp(0.0, td + _DERIV_SHIFT)
     return Knots(x, y, d, w, h, sm_w, sm_h, sig_d)
 

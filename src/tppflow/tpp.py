@@ -10,6 +10,7 @@ import numpy as np
 from . import transforms as tr
 from .rng import row_streams
 from .seqdata import EventSequence, PaddedBatch
+from .splines import sigmoid
 from .transforms import ChainCache, ParamStore, TransformSpec
 
 __all__ = [
@@ -79,6 +80,16 @@ def _append_horizon(batch: PaddedBatch):
     return times, mask
 
 
+def _row_log_density(mask, logdiag, z):
+    """Masked row sums of the log-Jacobian diagonals minus the compensator.
+
+    Rows are summed in column order (pairwise summation would split a row at
+    width-dependent points), so trailing padding adds exact zeros and the
+    result is bit-for-bit the same at any padded width.
+    """
+    return np.cumsum(mask * logdiag, axis=1)[:, -1] - z[:, -1]
+
+
 def log_prob(model: TppModel, batch: PaddedBatch) -> np.ndarray:
     """Per-sequence log density: sum of masked log-Jacobian diagonals minus
     the cumulative intensity at the horizon."""
@@ -86,7 +97,7 @@ def log_prob(model: TppModel, batch: PaddedBatch) -> np.ndarray:
         raise ValueError(f"batch horizon {batch.horizon} != model horizon {model.horizon}")
     times, mask = _append_horizon(batch)
     z, logdiag = tr.compose_forward(times, model.spec, model.params)
-    return (mask * logdiag).sum(axis=1) - z[:, -1]
+    return _row_log_density(mask, logdiag, z)
 
 
 def log_prob_grad(model: TppModel, batch: PaddedBatch):
@@ -95,7 +106,7 @@ def log_prob_grad(model: TppModel, batch: PaddedBatch):
         raise ValueError(f"batch horizon {batch.horizon} != model horizon {model.horizon}")
     times, mask = _append_horizon(batch)
     cache = tr.compose_forward_cached(times, model.spec, model.params)
-    lp = (mask * cache.logdiag).sum(axis=1) - cache.z[:, -1]
+    lp = _row_log_density(mask, cache.logdiag, cache.z)
     cot_z = np.zeros_like(cache.z)
     cot_z[:, -1] = -1.0
     grad, _ = tr.chain_vjp_cached(cache, cot_z, mask)
@@ -187,13 +198,7 @@ def relaxed_mask(extended_times, horizon: float, gamma: float) -> np.ndarray:
     """Sigmoid relaxation of the indicator 1(t < T): sigma((T - t) / gamma)."""
     if gamma <= 0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
-    x = (horizon - np.asarray(extended_times, dtype=np.float64)) / gamma
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return sigmoid((horizon - np.asarray(extended_times, dtype=np.float64)) / gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +239,7 @@ def prepare_paths(model: TppModel, t_ext, gamma: float | None) -> SamplePaths:
 def path_log_density(paths: SamplePaths, relaxed: bool) -> np.ndarray:
     """log q(t) of each sampled row: masked log-diagonals minus compensator."""
     m = paths.soft_mask if relaxed else paths.hard_mask
-    return (m * paths.jext).sum(axis=1) - paths.zbar[:, -1]
+    return _row_log_density(m, paths.jext, paths.zbar)
 
 
 def path_gradients(paths: SamplePaths, g_text=None, g_tclip=None, g_jext=None, g_zbar=None):

@@ -13,14 +13,13 @@ value), so appending more padding never changes a result by even one bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from . import splines as sp
-from .splines import RqsSpline
+from .splines import RqsSpline, sigmoid
 
 __all__ = [
     "DomainError",
@@ -33,13 +32,7 @@ __all__ = [
     "Bridge",
     "Cumsum",
     "Diff",
-    "scan_cumsum",
     "pairwise_diff",
-    "spline_forward",
-    "spline_inverse",
-    "bridge_forward",
-    "block_forward",
-    "block_inverse",
     "build_param_store",
     "compose_forward",
     "compose_forward_cached",
@@ -51,7 +44,6 @@ __all__ = [
 ]
 
 CLAMP = 1e-12          # round-off guard for inputs of psi_inv / logit
-_SCAN_BLOCK = 256
 
 
 class DomainError(ValueError):
@@ -66,28 +58,6 @@ class DomainError(ValueError):
 # primitive vector operations
 
 
-def scan_cumsum(x: np.ndarray) -> np.ndarray:
-    """Row-wise inclusive prefix sum via a blocked two-pass scan.
-
-    Within-block sums and the block-offset sweep are independent vectorized
-    passes, so the summation order matches a work-efficient parallel scan
-    rather than one long sequential accumulation.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[-1]
-    if n <= _SCAN_BLOCK:
-        return np.cumsum(x, axis=-1)
-    nb = -(-n // _SCAN_BLOCK)
-    pad = nb * _SCAN_BLOCK - n
-    xp = np.concatenate([x, np.zeros(x.shape[:-1] + (pad,))], axis=-1)
-    xp = xp.reshape(x.shape[:-1] + (nb, _SCAN_BLOCK))
-    inner = np.cumsum(xp, axis=-1)
-    totals = inner[..., -1]
-    offsets = np.cumsum(totals, axis=-1) - totals
-    out = inner + offsets[..., None]
-    return out.reshape(x.shape[:-1] + (nb * _SCAN_BLOCK,))[..., :n]
-
-
 def pairwise_diff(x: np.ndarray) -> np.ndarray:
     """Row-wise adjacent differences, first element kept; inverse of cumsum."""
     x = np.asarray(x, dtype=np.float64)
@@ -96,21 +66,16 @@ def pairwise_diff(x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _reverse_cumsum(x: np.ndarray) -> np.ndarray:
-    return scan_cumsum(x[..., ::-1])[..., ::-1]
+def _cumsum_t(x: np.ndarray) -> np.ndarray:
+    """Transpose of the row-wise cumulative sum: a reversed cumulative sum."""
+    return np.cumsum(x[..., ::-1], axis=-1)[..., ::-1]
 
 
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def _softplus(x):
-    return np.logaddexp(0.0, x)
+def _diff_t(x: np.ndarray) -> np.ndarray:
+    """Transpose of the row-wise adjacent difference."""
+    u = x.copy()
+    u[..., :-1] -= x[..., 1:]
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +312,9 @@ class Bridge:
             y = -np.log1p(-xc)
             return y, y
         if k == "sigmoid":
-            y = _sigmoid(x)
-            return y, -(_softplus(x) + _softplus(-x))
+            # log sigmoid'(x) = log s + log(1 - s), free of cancellation
+            ax = np.abs(x)
+            return sigmoid(x), -ax - 2.0 * np.log1p(np.exp(-ax))
         xc = np.clip(x, CLAMP, 1.0 - CLAMP)
         return np.log(xc) - np.log1p(-xc), -np.log(xc) - np.log1p(-xc)
 
@@ -362,7 +328,7 @@ class Bridge:
         if k == "sigmoid":
             yc = np.clip(y, CLAMP, 1.0 - CLAMP)
             return np.log(yc) - np.log1p(-yc)
-        return _sigmoid(y)
+        return sigmoid(y)
 
     def vjp(self, x, p, g_y, g_ld):
         k = self.kind
@@ -372,7 +338,7 @@ class Bridge:
             d = 1.0 / (1.0 - np.clip(x, CLAMP, 1.0 - CLAMP))
             return (g_y + g_ld) * d, None
         if k == "sigmoid":
-            s = _sigmoid(x)
+            s = sigmoid(x)
             return g_y * s * (1.0 - s) + g_ld * (1.0 - 2.0 * s), None
         xc = np.clip(x, CLAMP, 1.0 - CLAMP)
         return (g_y + g_ld * (2.0 * xc - 1.0)) / (xc * (1.0 - xc)), None
@@ -384,7 +350,7 @@ class Bridge:
         if k == "psi_inv":
             return w * (1.0 - np.clip(x, CLAMP, 1.0 - CLAMP))
         if k == "sigmoid":
-            s = _sigmoid(x)
+            s = sigmoid(x)
             return w / (s * (1.0 - s))
         xc = np.clip(x, CLAMP, 1.0 - CLAMP)
         return w * xc * (1.0 - xc)
@@ -409,18 +375,16 @@ class Cumsum:
     force_inv = False
 
     def forward(self, x, p):
-        return scan_cumsum(x), np.zeros_like(x)
+        return np.cumsum(x, axis=-1), np.zeros_like(x)
 
     def inverse(self, y, p):
         return pairwise_diff(y)
 
     def vjp(self, x, p, g_y, g_ld):
-        return _reverse_cumsum(g_y), None
+        return _cumsum_t(g_y), None
 
     def inv_jac_t(self, x, p, w):
-        u = w.copy()
-        u[..., :-1] -= w[..., 1:]
-        return u
+        return _diff_t(w)
 
     def validate(self, x):
         pass
@@ -439,21 +403,16 @@ class Diff:
         return pairwise_diff(x), np.zeros_like(x)
 
     def inverse(self, y, p):
-        return scan_cumsum(y)
+        return np.cumsum(y, axis=-1)
 
     def vjp(self, x, p, g_y, g_ld):
-        g = g_y.copy()
-        g[..., :-1] -= g_y[..., 1:]
-        return g, None
+        return _diff_t(g_y), None
 
     def inv_jac_t(self, x, p, w):
-        return _reverse_cumsum(w)
+        return _cumsum_t(w)
 
     def validate(self, x):
         pass
-
-
-Layer = Union[Spline, BlockDiag, Scale, FixedScale, Bridge, Cumsum, Diff]
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +441,17 @@ class ParamStore:
         return self.values.size
 
 
+# layer kind -> class, as written in checkpoints (format version 1)
+_LAYER_CLASSES = {"spline": Spline, "block": BlockDiag, "scale": Scale,
+                  "fixed_scale": FixedScale, "bridge": Bridge, "cumsum": Cumsum, "diff": Diff}
+_LAYER_KINDS = {cls: kind for kind, cls in _LAYER_CLASSES.items()}
+
+
+def _field_key(f):
+    """Record key of a layer field; a Bridge's own ``kind`` is stored as "bridge"."""
+    return "bridge" if f.name == "kind" else f.name
+
+
 @dataclass(frozen=True)
 class TransformSpec:
     """Ordered layer chain; ``layers[0]`` is applied to the times first."""
@@ -494,45 +464,18 @@ class TransformSpec:
             raise ValueError(f"learnable layer names must be unique, got {names}")
 
     def to_dict(self) -> dict:
-        out = []
-        for l in self.layers:
-            if isinstance(l, Spline):
-                out.append({"kind": "spline", "name": l.name, "n_knots": l.n_knots})
-            elif isinstance(l, BlockDiag):
-                out.append({"kind": "block", "name": l.name, "size": l.size, "offset": l.offset})
-            elif isinstance(l, Scale):
-                out.append({"kind": "scale", "name": l.name})
-            elif isinstance(l, FixedScale):
-                out.append({"kind": "fixed_scale", "value": l.value})
-            elif isinstance(l, Bridge):
-                out.append({"kind": "bridge", "bridge": l.kind})
-            elif isinstance(l, Cumsum):
-                out.append({"kind": "cumsum"})
-            else:
-                out.append({"kind": "diff"})
-        return {"layers": out}
+        return {"layers": [{"kind": _LAYER_KINDS[type(l)],
+                            **{_field_key(f): getattr(l, f.name) for f in fields(l)}}
+                           for l in self.layers]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "TransformSpec":
         layers = []
         for rec in d["layers"]:
-            k = rec["kind"]
-            if k == "spline":
-                layers.append(Spline(rec["name"], rec["n_knots"]))
-            elif k == "block":
-                layers.append(BlockDiag(rec["name"], rec["size"], rec["offset"]))
-            elif k == "scale":
-                layers.append(Scale(rec["name"]))
-            elif k == "fixed_scale":
-                layers.append(FixedScale(rec["value"]))
-            elif k == "bridge":
-                layers.append(Bridge(rec["bridge"]))
-            elif k == "cumsum":
-                layers.append(Cumsum())
-            elif k == "diff":
-                layers.append(Diff())
-            else:
-                raise ValueError(f"unknown layer kind {k!r}")
+            layer_cls = _LAYER_CLASSES.get(rec["kind"])
+            if layer_cls is None:
+                raise ValueError(f"unknown layer kind {rec['kind']!r}")
+            layers.append(layer_cls(**{f.name: rec[_field_key(f)] for f in fields(layer_cls)}))
         return cls(tuple(layers))
 
 
@@ -689,51 +632,6 @@ def inverse_jac_t_apply(cache: ChainCache, w):
     for layer, x in zip(cache.spec.layers, cache.inputs):
         u = layer.inv_jac_t(x, _params_of(layer, cache.store), u)
     return u
-
-
-# ---------------------------------------------------------------------------
-# public single-operation wrappers (strict domains)
-
-
-def spline_forward(x, spline: RqsSpline, theta):
-    """Spline value and log-derivative for x strictly inside (0, 1)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.size and (float(x.min()) <= 0.0 or float(x.max()) >= 1.0):
-        raise DomainError("spline", "inputs must lie strictly inside (0, 1)")
-    return sp.forward(spline, np.asarray(theta, dtype=np.float64), x)
-
-
-def spline_inverse(y, spline: RqsSpline, theta):
-    """Inverse spline for y strictly inside (0, 1)."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.size and (float(y.min()) <= 0.0 or float(y.max()) >= 1.0):
-        raise DomainError("spline", "inputs must lie strictly inside (0, 1)")
-    return sp.inverse(spline, np.asarray(theta, dtype=np.float64), y)
-
-
-def bridge_forward(x, kind: str, scale: float | None = None):
-    """Evaluate a domain bridge (psi | psi_inv | sigmoid | logit | scale)."""
-    x = np.asarray(x, dtype=np.float64)
-    if kind == "scale":
-        if scale is None or scale <= 0:
-            raise ValueError("scale bridge needs a positive scale value")
-        layer = FixedScale(scale)
-        return layer.forward(x, None)
-    layer = Bridge(kind)
-    layer.validate(x)
-    return layer.forward(x, None)
-
-
-def block_forward(x, block: BlockDiag, theta):
-    """Apply a block-diagonal lower-triangular layer."""
-    return block.forward(np.atleast_2d(np.asarray(x, dtype=np.float64)),
-                         np.asarray(theta, dtype=np.float64))
-
-
-def block_inverse(y, block: BlockDiag, theta):
-    """Invert a block-diagonal layer by per-block forward substitution."""
-    return block.inverse(np.atleast_2d(np.asarray(y, dtype=np.float64)),
-                         np.asarray(theta, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -5,6 +7,7 @@ from scipy.integrate import quad
 from conftest import ALL_KINDS, random_batch
 from tppflow import models as md
 from tppflow import tpp
+from tppflow import transforms as tr
 from tppflow.metrics import ks_exp1
 from tppflow.models import HawkesExpParams, ModelKind, build_model
 from tppflow.seqdata import EventSequence
@@ -50,6 +53,47 @@ def test_checkpoint_round_trip(tmp_path, rng):
     assert np.array_equal(back.params.values, model.params.values)
     batch = random_batch(rng, 3, 10.0)
     assert np.array_equal(tpp.log_prob(back, batch), tpp.log_prob(model, batch))
+
+
+def _spline(name):
+    return {"kind": "spline", "name": name, "n_knots": 6}
+
+
+FORMAT_V1_TRANSFORMS = {
+    "hpp": [{"kind": "scale", "name": "rate"}],
+    "ipp": [{"kind": "fixed_scale", "value": 0.1}, _spline("g1"),
+            {"kind": "scale", "name": "rate"}],
+    "rp": [{"kind": "diff"}, {"kind": "scale", "name": "rate"},
+           {"kind": "bridge", "bridge": "psi"}, _spline("g2"),
+           {"kind": "bridge", "bridge": "psi_inv"}, {"kind": "cumsum"}],
+    "mrp": [{"kind": "fixed_scale", "value": 0.1}, _spline("g1"),
+            {"kind": "scale", "name": "rate"}, {"kind": "diff"},
+            {"kind": "bridge", "bridge": "psi"}, _spline("g2"),
+            {"kind": "bridge", "bridge": "psi_inv"}, {"kind": "cumsum"}],
+    "tritpp": [{"kind": "fixed_scale", "value": 0.1}, _spline("g1"),
+               {"kind": "scale", "name": "rate"}, {"kind": "diff"},
+               {"kind": "bridge", "bridge": "psi"}, _spline("g2"),
+               {"kind": "bridge", "bridge": "logit"},
+               {"kind": "block", "name": "b1", "size": 4, "offset": 0},
+               {"kind": "block", "name": "b2", "size": 4, "offset": 2},
+               {"kind": "bridge", "bridge": "sigmoid"}, _spline("g3"),
+               {"kind": "bridge", "bridge": "psi_inv"}, {"kind": "cumsum"}],
+}
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_transform_spec_format_v1(kind):
+    rec = {"layers": FORMAT_V1_TRANSFORMS[kind]}
+    spec = tr.TransformSpec.from_dict(rec)
+    assert spec.to_dict() == rec
+    model = build_model(ModelKind(kind, 10.0, n_knots=6, block_size=4, n_blocks=2))
+    assert model.spec == spec
+    assert json.dumps(model.spec.to_dict()) == json.dumps(rec)
+
+
+def test_transform_spec_unknown_layer_kind():
+    with pytest.raises(ValueError, match="unknown layer kind"):
+        tr.TransformSpec.from_dict({"layers": [{"kind": "rnn"}]})
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ import pytest
 
 from tppflow import splines as sp
 from tppflow.splines import RqsSpline
-from tppflow.transforms import DomainError, spline_forward, spline_inverse
 
 
 def reference_bin_eval(knots, x):
@@ -141,13 +140,12 @@ def test_vjp_matches_finite_differences(spline10, theta10, rng):
         assert gx[j] == pytest.approx(num, rel=2e-5, abs=1e-7)
 
 
-def test_public_ops_enforce_open_interval(spline10, theta10):
-    with pytest.raises(DomainError):
-        spline_forward(np.array([0.0]), spline10, theta10)
-    with pytest.raises(DomainError):
-        spline_forward(np.array([1.2]), spline10, theta10)
-    with pytest.raises(DomainError):
-        spline_inverse(np.array([-0.1]), spline10, theta10)
-    y, _ = spline_forward(np.array([0.4]), spline10, theta10)
-    x = spline_inverse(y, spline10, theta10)
-    assert x[0] == pytest.approx(0.4, abs=1e-12)
+def test_spline_ops_are_total(spline10, theta10):
+    """The interval edges and both linear tails belong to the map: nothing
+    outside (0, 1) is rejected."""
+    d0 = sp.make_knots(spline10, theta10).d[0]
+    y, ld = sp.forward(spline10, theta10, np.array([0.0, 0.4, 1.2]))
+    assert y[0] == 0.0
+    assert ld[0] == pytest.approx(np.log(d0), abs=1e-12)
+    x = sp.inverse(spline10, theta10, np.concatenate([[-0.1], y]))
+    assert np.abs(x - [-0.1 / d0, 0.0, 0.4, 1.2]).max() < 1e-12

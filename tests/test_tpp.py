@@ -5,7 +5,7 @@ from conftest import make_model, random_batch
 from tppflow import tpp
 from tppflow import transforms as tr
 from tppflow.metrics import ks_exp1
-from tppflow.seqdata import EventSequence, pad_batch
+from tppflow.seqdata import EventSequence, PaddedBatch, pad_batch
 
 
 def test_log_prob_hpp_closed_forms():
@@ -25,13 +25,20 @@ def test_log_prob_horizon_mismatch():
 
 
 def test_log_prob_padding_invariance(rng):
+    """Appended padding columns move no log density by a single bit, also for
+    rows wider than 128 columns (where a pairwise row sum would split at
+    width-dependent points)."""
     model = make_model("tritpp", horizon=10.0, seed=1, noise=0.4)
-    batch = random_batch(rng, 5, 10.0)
+    batch = random_batch(rng, 20, 10.0, min_events=150, max_events=400)
+    assert batch.times.shape[1] > 128
     lp = tpp.log_prob(model, batch)
-    wider = pad_batch([EventSequence(batch.times[r][batch.mask[r] > 0], 10.0)
-                       for r in range(5)] + [EventSequence(np.array([]), 10.0)] * 3)
-    lp2 = tpp.log_prob(model, wider)[:5]
-    assert np.abs(lp2 - lp).max() <= 1e-12
+    assert np.array_equal(tpp.log_prob_grad(model, batch)[0], lp)
+    for k in (1, 7, 16, 64, 130):
+        pad = np.full((20, k), 10.0)
+        wider = PaddedBatch(np.concatenate([batch.times, pad], axis=1),
+                            np.concatenate([batch.mask, np.zeros_like(pad)], axis=1), 10.0)
+        assert np.array_equal(tpp.log_prob(model, wider), lp), k
+        assert np.array_equal(tpp.log_prob_grad(model, wider)[0], lp), k
 
 
 @pytest.mark.filterwarnings("ignore:The occurrence of roundoff error")

@@ -8,28 +8,48 @@ from tppflow.tpp import _append_horizon
 
 
 # ---------------------------------------------------------------------------
-# scan / diff
+# cumsum / diff
 
 
-def test_scan_cumsum_examples():
-    assert np.array_equal(tr.scan_cumsum(np.array([1.0, 2.0, 3.0])), [1.0, 3.0, 6.0])
-    assert tr.scan_cumsum(np.zeros((2, 0))).shape == (2, 0)
+def test_cumsum_layer_examples():
+    for y in (tr.Cumsum().forward(np.array([1.0, 2.0, 3.0]), None)[0],
+              tr.Diff().inverse(np.array([1.0, 2.0, 3.0]), None)):
+        assert np.array_equal(y, [1.0, 3.0, 6.0])
+    assert tr.Cumsum().forward(np.zeros((2, 0)), None)[0].shape == (2, 0)
+    assert tr.Diff().inverse(np.zeros((2, 0)), None).shape == (2, 0)
 
 
-def test_scan_cumsum_matches_sequential_accumulation(rng):
-    x = rng.uniform(0, 1, 1_000_000)
-    blocked = tr.scan_cumsum(x)
-    sequential = np.add.accumulate(x)
-    rel = np.abs(blocked - sequential) / np.maximum(np.abs(sequential), 1e-300)
-    assert rel.max() < 1e-12
+def test_cumsum_layer_matches_sequential_accumulation(rng):
+    x = rng.uniform(0, 1, (2, 500_000))
+    sequential = np.add.accumulate(x, axis=1)
+    assert np.array_equal(tr.Cumsum().forward(x, None)[0], sequential)
+    assert np.array_equal(tr.Diff().inverse(x, None), sequential)
+    # trailing zeros (padded gaps) leave every prefix sum unchanged
+    padded = np.concatenate([x, np.zeros((2, 300))], axis=1)
+    y = tr.Cumsum().forward(padded, None)[0]
+    assert np.array_equal(y[:, :x.shape[1]], sequential)
+    assert np.all(y[:, x.shape[1]:] == sequential[:, -1:])
 
 
 def test_pairwise_diff_examples(rng):
     assert np.array_equal(tr.pairwise_diff(np.array([1.0, 3.0, 6.0])), [1.0, 2.0, 3.0])
     x = rng.normal(0, 1, (4, 300))
-    assert np.abs(tr.pairwise_diff(tr.scan_cumsum(x)) - x).max() < 1e-12
+    assert np.abs(tr.pairwise_diff(tr.Cumsum().forward(x, None)[0]) - x).max() < 1e-12
     inc = np.sort(rng.uniform(0, 5, 50))
     assert np.all(tr.pairwise_diff(inc) > 0)
+
+
+def test_cumsum_diff_transposed_operators_match_dense(rng):
+    n = 7
+    ones = np.tril(np.ones((n, n)))            # Jacobian of Cumsum
+    diff = np.linalg.inv(ones)                 # Jacobian of Diff
+    g = rng.normal(0, 1, (3, n))
+    x = rng.normal(0, 1, (3, n))
+    for layer, jac in ((tr.Cumsum(), ones), (tr.Diff(), diff)):
+        g_x, g_p = layer.vjp(x, None, g, np.zeros_like(g))
+        assert g_p is None
+        assert np.abs(g_x - g @ jac).max() < 1e-12
+        assert np.abs(layer.inv_jac_t(x, None, g) - g @ np.linalg.inv(jac)).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -37,14 +57,25 @@ def test_pairwise_diff_examples(rng):
 
 
 def test_bridge_closed_forms():
-    y, ld = tr.bridge_forward(np.array([np.log(2.0)]), "psi")
+    y, ld = tr.Bridge("psi").forward(np.array([np.log(2.0)]), None)
     assert y[0] == pytest.approx(0.5, abs=1e-15)
     assert ld[0] == pytest.approx(-np.log(2.0), abs=1e-15)
-    y, _ = tr.bridge_forward(np.array([0.0]), "sigmoid")
+    y, ld = tr.Bridge("sigmoid").forward(np.array([0.0]), None)
     assert y[0] == 0.5
-    y, ld = tr.bridge_forward(np.array([25.0]), "scale", scale=1.0 / 100.0)
+    assert ld[0] == pytest.approx(np.log(0.25), abs=1e-15)
+    y, ld = tr.FixedScale(1.0 / 100.0).forward(np.array([25.0]), None)
     assert y[0] == pytest.approx(0.25)
     assert ld[0] == pytest.approx(-np.log(100.0))
+
+
+def test_sigmoid_log_derivative_matches_direct_form(rng):
+    x = np.concatenate([rng.normal(0, 3, 200), [-40.0, -700.0, 40.0, 700.0]])
+    y, ld = tr.Bridge("sigmoid").forward(x, None)
+    assert np.all((y >= 0) & (y <= 1)) and np.all(np.isfinite(ld))
+    mid = np.abs(x) < 20
+    direct = np.log(y[mid] * (1.0 - y[mid]))
+    assert np.abs(ld[mid] - direct).max() < 1e-12
+    assert np.abs(ld[np.abs(x) == 700.0] + 700.0).max() < 1e-12
 
 
 def test_bridge_inverse_pairs(rng):
@@ -58,13 +89,13 @@ def test_bridge_inverse_pairs(rng):
 
 def test_bridge_domain_errors():
     with pytest.raises(tr.DomainError, match="psi"):
-        tr.bridge_forward(np.array([-0.5]), "psi")
+        tr.Bridge("psi").validate(np.array([-0.5]))
     with pytest.raises(tr.DomainError, match="psi_inv"):
-        tr.bridge_forward(np.array([1.5]), "psi_inv")
+        tr.Bridge("psi_inv").validate(np.array([1.5]))
     with pytest.raises(tr.DomainError, match="logit"):
-        tr.bridge_forward(np.array([-0.2]), "logit")
+        tr.Bridge("logit").validate(np.array([-0.2]))
     with pytest.raises(ValueError):
-        tr.bridge_forward(np.array([1.0]), "scale", scale=-1.0)
+        tr.FixedScale(-1.0)
     with pytest.raises(ValueError):
         tr.Bridge("nope")
 
@@ -123,12 +154,12 @@ def test_block_window_consistency(rng):
     assert np.array_equal(y_big[:, :9], y_small)
 
 
-def test_block_public_wrappers(rng):
+def test_block_round_trip(rng):
     blk = tr.BlockDiag("b", 4, 0)
     theta = rng.normal(0, 0.5, blk.n_params)
     x = rng.normal(0, 1, (2, 8))
-    y, _ = tr.block_forward(x, blk, theta)
-    assert np.abs(tr.block_inverse(y, blk, theta) - x).max() < 1e-10
+    y, _ = blk.forward(x, theta)
+    assert np.abs(blk.inverse(y, theta) - x).max() < 1e-10
 
 
 def test_block_validation():
