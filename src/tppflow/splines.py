@@ -22,13 +22,17 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import softmax
 
-__all__ = ["RqsSpline", "MIN_BIN", "MIN_DERIV", "sigmoid", "make_knots", "forward", "inverse",
-           "vjp"]
+__all__ = ["RqsSpline", "Residuals", "MIN_BIN", "MIN_DERIV", "sigmoid", "reversed_cumsum",
+           "make_knots", "forward", "inverse", "vjp", "inv_jac_t"]
 
 MIN_BIN = 1e-3
 MIN_DERIV = 1e-3
 # softplus(_DERIV_SHIFT) == 1 - MIN_DERIV, so zero logits give derivative 1.
 _DERIV_SHIFT = float(np.log(np.expm1(1.0 - MIN_DERIV)))
+# Elements per block in forward, inverse and vjp.  A block's temporaries
+# (64 kB each) stay in cache and are recycled by the allocator, where
+# whole-batch temporaries are paged in afresh on every call.
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -60,9 +64,22 @@ class Knots(NamedTuple):
     d: np.ndarray   # (K,) knot derivatives, > 0
     w: np.ndarray   # (K-1,) bin widths
     h: np.ndarray   # (K-1,) bin heights
+    s: np.ndarray   # (K-1,) bin slopes h / w
     sm_w: np.ndarray
     sm_h: np.ndarray
     sig_d: np.ndarray
+
+
+class Residuals(NamedTuple):
+    """What one forward evaluation leaves for ``vjp`` and ``inv_jac_t``."""
+
+    k: np.ndarray            # bin of each (clipped) input; uint8 up to 256 bins
+    xi: np.ndarray           # position inside the bin, in [0, 1]
+    num: np.ndarray          # value = y_k + h_k * num / den
+    den: np.ndarray
+    q: np.ndarray            # derivative = s^2 * q / den^2
+    lo: np.ndarray | None    # inputs below 0, None when there are none
+    hi: np.ndarray | None    # inputs above 1, None when there are none
 
 
 def sigmoid(x):
@@ -73,6 +90,11 @@ def sigmoid(x):
     instead of underflowing towards 0.
     """
     return 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
+
+
+def reversed_cumsum(x):
+    """Cumulative sum from the end of the last axis: the transpose of ``np.cumsum``."""
+    return np.cumsum(x[..., ::-1], axis=-1)[..., ::-1]
 
 
 def make_knots(spline: RqsSpline, theta: np.ndarray) -> Knots:
@@ -87,72 +109,111 @@ def make_knots(spline: RqsSpline, theta: np.ndarray) -> Knots:
     y = np.concatenate([[0.0], np.cumsum(h)])
     sig_d = sigmoid(td + _DERIV_SHIFT)
     d = MIN_DERIV + np.logaddexp(0.0, td + _DERIV_SHIFT)
-    return Knots(x, y, d, w, h, sm_w, sm_h, sig_d)
+    return Knots(x, y, d, w, h, h / w, sm_w, sm_h, sig_d)
 
 
-def _bin_index(edges, v, n_bins):
-    k = np.searchsorted(edges, v, side="right") - 1
-    return np.clip(k, 0, n_bins - 1)
+def _bin_index(edges, v):
+    """Bin of each ``v`` in [0, 1]: the number of interior knots at or below it.
+
+    This is the clipped ``searchsorted(edges, v, "right") - 1``.  One compare
+    pass per knot is several times faster than a binary search per element on
+    large batches, and slower on a handful of elements (``inverse``, which the
+    sequential sampler calls one column at a time, keeps ``searchsorted``).
+    """
+    k = np.zeros(v.shape, dtype=np.min_scalar_type(len(edges) - 2))
+    for e in edges[1:-1]:
+        k += v >= e
+    return k
+
+
+def _by_blocks(fn, *arrays):
+    """Apply ``fn`` to same-shaped ``arrays`` in blocks of at most ``_BLOCK`` elements.
+
+    ``fn`` maps 1-D blocks to a tuple of arrays of the same length, element
+    by element; the results are returned shaped like the inputs.
+    """
+    shape = arrays[0].shape
+    flat = [a.reshape(-1) for a in arrays]
+    n = flat[0].size
+    first = fn(*(a[:_BLOCK] for a in flat))
+    if n <= _BLOCK:
+        return [a.reshape(shape) for a in first]
+    outs = [np.empty(n, dtype=a.dtype) for a in first]
+    for start in range(0, n, _BLOCK):
+        parts = first if start == 0 else fn(*(a[start:start + _BLOCK] for a in flat))
+        for out, part in zip(outs, parts):
+            out[start:start + _BLOCK] = part
+    return [a.reshape(shape) for a in outs]
 
 
 def forward(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, knots: Knots | None = None):
-    """Evaluate the spline and the log of its derivative, tails included."""
+    """Evaluate the spline and the log of its derivative, tails included.
+
+    Returns ``(y, logderiv, residuals)``; the residuals let ``vjp`` and
+    ``inv_jac_t`` skip the bin search and the rational function.
+    """
     kn = knots if knots is not None else make_knots(spline, theta)
     x = np.asarray(x, dtype=np.float64)
+    mm = kn.d[1:] + kn.d[:-1] - 2.0 * kn.s          # den = s + mm * u, per bin
+    two_log_s = 2.0 * np.log(kn.s)
+
+    def block(v):
+        xc = np.clip(v, 0.0, 1.0)
+        k_small = _bin_index(kn.x, xc)
+        k = k_small.astype(np.intp)
+        xi = np.clip((xc - kn.x[k]) / kn.w[k], 0.0, 1.0)
+        u = xi * (1.0 - xi)
+        s = kn.s[k]
+        dlo = kn.d[:-1][k]
+        num = s * xi * xi + dlo * u
+        den = s + mm[k] * u
+        q = kn.d[1:][k] * xi * xi + 2.0 * s * u + dlo * (1.0 - xi) ** 2
+        y = kn.y[k] + kn.h[k] * num / den
+        ld = two_log_s[k] + np.log(q) - 2.0 * np.log(den)
+        return k_small, xi, num, den, q, y, ld
+
+    k, xi, num, den, q, y, ld = _by_blocks(block, x)
     lo = x < 0.0
     hi = x > 1.0
-
-    y = np.empty_like(x)
-    ld = np.empty_like(x)
-
-    xi_in = np.clip(x, 0.0, 1.0)
-    k = _bin_index(kn.x, xi_in, spline.n_bins)
-    wk, hk = kn.w[k], kn.h[k]
-    xk, yk = kn.x[k], kn.y[k]
-    dlo, dhi = kn.d[k], kn.d[k + 1]
-    s = hk / wk
-    xi = np.clip((xi_in - xk) / wk, 0.0, 1.0)
-    u = xi * (1.0 - xi)
-    num = s * xi * xi + dlo * u
-    den = s + (dhi + dlo - 2.0 * s) * u
-    q = dhi * xi * xi + 2.0 * s * u + dlo * (1.0 - xi) ** 2
-
-    y[:] = yk + hk * num / den
-    ld[:] = 2.0 * np.log(s) + np.log(q) - 2.0 * np.log(den)
-
     d0, d1 = kn.d[0], kn.d[-1]
     if lo.any():
         y[lo] = d0 * x[lo]
         ld[lo] = np.log(d0)
+    else:
+        lo = None
     if hi.any():
         y[hi] = 1.0 + d1 * (x[hi] - 1.0)
         ld[hi] = np.log(d1)
-    return y, ld
+    else:
+        hi = None
+    return y, ld, Residuals(k, xi, num, den, q, lo, hi)
 
 
 def inverse(spline: RqsSpline, theta: np.ndarray, y: np.ndarray, knots: Knots | None = None) -> np.ndarray:
     """Closed-form inverse (quadratic-formula root per bin, linear tails)."""
     kn = knots if knots is not None else make_knots(spline, theta)
     y = np.asarray(y, dtype=np.float64)
+
+    def block(v):
+        yc = np.clip(v, 0.0, 1.0)       # binary search: see _bin_index
+        k = np.clip(np.searchsorted(kn.y, yc, side="right") - 1, 0, spline.n_bins - 1)
+        wk, hk = kn.w[k], kn.h[k]
+        xk, yk = kn.x[k], kn.y[k]
+        dlo, dhi = kn.d[k], kn.d[k + 1]
+        s = kn.s[k]
+        mm = dhi + dlo - 2.0 * s
+        r = yc - yk
+        a = hk * (s - dlo) + r * mm
+        b = hk * dlo - r * mm
+        c = -s * r
+        disc = np.maximum(b * b - 4.0 * a * c, 0.0)
+        xi = 2.0 * c / (-b - np.sqrt(disc))
+        xi = np.clip(xi, 0.0, 1.0)
+        return (xk + wk * xi,)
+
+    x, = _by_blocks(block, y)
     lo = y < 0.0
     hi = y > 1.0
-
-    yi_in = np.clip(y, 0.0, 1.0)
-    k = _bin_index(kn.y, yi_in, spline.n_bins)
-    wk, hk = kn.w[k], kn.h[k]
-    xk, yk = kn.x[k], kn.y[k]
-    dlo, dhi = kn.d[k], kn.d[k + 1]
-    s = hk / wk
-    mm = dhi + dlo - 2.0 * s
-    r = yi_in - yk
-    a = hk * (s - dlo) + r * mm
-    b = hk * dlo - r * mm
-    c = -s * r
-    disc = np.maximum(b * b - 4.0 * a * c, 0.0)
-    xi = 2.0 * c / (-b - np.sqrt(disc))
-    xi = np.clip(xi, 0.0, 1.0)
-    x = xk + wk * xi
-
     d0, d1 = kn.d[0], kn.d[-1]
     if lo.any():
         x[lo] = y[lo] / d0
@@ -162,88 +223,79 @@ def inverse(spline: RqsSpline, theta: np.ndarray, y: np.ndarray, knots: Knots | 
 
 
 def vjp(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, g_y: np.ndarray, g_ld: np.ndarray,
-        knots: Knots | None = None):
+        knots: Knots | None = None, res: Residuals | None = None):
     """Pull cotangents on (value, logderiv) back to (input, parameters).
 
-    Recomputes the forward internals from ``x``; all partial derivatives are
-    analytic.  Returns ``(g_x, g_theta)`` with ``g_theta`` flat like theta.
+    ``res`` is the record ``forward`` returned for this ``x``; without it
+    the forward pass is run here.  All partial derivatives are analytic.
+    Returns ``(g_x, g_theta)`` with ``g_theta`` flat like theta.
     """
     kn = knots if knots is not None else make_knots(spline, theta)
+    if res is None:
+        res = forward(spline, theta, x, kn)[2]
     x = np.asarray(x, dtype=np.float64)
     g_y = np.asarray(g_y, dtype=np.float64)
     g_ld = np.asarray(g_ld, dtype=np.float64)
     m = spline.n_bins
-    K = spline.n_knots
+    lo, hi = res.lo, res.hi
+    tails = lo if hi is None else (hi if lo is None else lo | hi)
+    gy = g_y if tails is None else np.where(tails, 0.0, g_y)
+    gl = g_ld if tails is None else np.where(tails, 0.0, g_ld)
 
-    lo = x < 0.0
-    hi = x > 1.0
-    inner = ~(lo | hi)
+    # Inside a bin: y = y_k + h num/den and logderiv = 2 log s + log q - 2 log den,
+    # with s = h/w, den = s + mm u, mm = d_lo + d_hi - 2s, u = xi (1 - xi).
+    mm = kn.d[1:] + kn.d[:-1] - 2.0 * kn.s
+    s_minus_dlo = kn.s - kn.d[:-1]
+    inv_w = 1.0 / kn.w
 
-    xf = np.clip(x, 0.0, 1.0)
-    k = _bin_index(kn.x, xf, m)
-    wk, hk = kn.w[k], kn.h[k]
-    xk = kn.x[k]
-    dlo, dhi = kn.d[k], kn.d[k + 1]
-    s = hk / wk
-    xi = np.clip((xf - xk) / wk, 0.0, 1.0)
-    u = xi * (1.0 - xi)
-    one_m2xi = 1.0 - 2.0 * xi
-    mm = dhi + dlo - 2.0 * s
-    num = s * xi * xi + dlo * u
-    den = s + mm * u
-    q = dhi * xi * xi + 2.0 * s * u + dlo * (1.0 - xi) ** 2
+    sums = np.zeros((7, m))
 
-    # value partials
-    dn_dxi = 2.0 * s * xi + dlo * one_m2xi
-    dd_dxi = mm * one_m2xi
-    dy_dxi = hk * (dn_dxi * den - num * dd_dxi) / den**2
-    dy_ds = hk * (xi * xi * den - num * (1.0 - 2.0 * u)) / den**2
-    dy_ddlo = hk * u * (den - num) / den**2
-    dy_ddhi = -hk * num * u / den**2
-    dy_dh_direct = num / den
-    dy_dyk = 1.0
+    def block(k_small, xi, num, den, q, gy, gl):
+        """g_x of one block; adds the block's per-bin sums of the partials to ``sums``."""
+        k = k_small.astype(np.intp)
+        s, mm_k = kn.s[k], mm[k]
+        inv_den = 1.0 / den
+        a = gy * kn.h[k] * inv_den * inv_den        # g_y h / den^2
+        gl_q = gl / q
+        gl_d = gl * inv_den
+        u = xi * (1.0 - xi)
+        v = 1.0 - 2.0 * u
+        # d/dxi: dy = h s q / den^2, dq = 2 (mm xi + s - d_lo), dden = mm (1 - 2 xi)
+        g_xi = a * s * q + 2.0 * (gl_q * (mm_k * xi + s_minus_dlo[k])
+                                  - gl_d * mm_k * (1.0 - 2.0 * xi))
+        # d/ds: dnum = xi^2, dden = 1 - 2u, dq = 2u, and 2 log s
+        g_s = a * (xi * xi * den - num * v) + 2.0 * (gl / s + u * gl_q - v * gl_d)
+        # d/d(d_lo), d/d(d_hi): dnum = (u, 0), dden = (u, u), dq = ((1 - xi)^2, xi^2)
+        two_u_gl_d = 2.0 * u * gl_d
+        au = a * u
+        g_dlo = au * (den - num) + (1.0 - xi) ** 2 * gl_q - two_u_gl_d
+        g_dhi = xi * xi * gl_q - two_u_gl_d - au * num
+        for row, wt in zip(sums, (g_xi, g_xi * xi, g_s, g_dlo, g_dhi, gy * num * inv_den, gy)):
+            row += np.bincount(k, weights=wt, minlength=m)
+        return (g_xi * inv_w[k],)
 
-    # logderiv partials
-    dq_dxi = 2.0 * (dhi * xi + s * one_m2xi - dlo * (1.0 - xi))
-    dl_dxi = dq_dxi / q - 2.0 * dd_dxi / den
-    dl_ds = 2.0 / s + 2.0 * u / q - 2.0 * (1.0 - 2.0 * u) / den
-    dl_ddlo = (1.0 - xi) ** 2 / q - 2.0 * u / den
-    dl_ddhi = xi * xi / q - 2.0 * u / den
+    g_x, = _by_blocks(block, res.k, res.xi, res.num, res.den, res.q, gy, gl)
+    sum_xi, sum_xi_xi, sum_s, sum_dlo, sum_dhi, g_h, g_yknot = sums
 
-    gy = np.where(inner, g_y, 0.0)
-    gl = np.where(inner, g_ld, 0.0)
-
-    g_xi = gy * dy_dxi + gl * dl_dxi
-    g_x = g_xi / wk
-    g_s = gy * dy_ds + gl * dl_ds
-    g_w_elem = -g_xi * xi / wk - g_s * s / wk
-    g_h_elem = gy * dy_dh_direct + g_s / wk
-    g_xk_elem = -g_xi / wk
-    g_yk_elem = gy * dy_dyk
-    g_dlo_elem = gy * dy_ddlo + gl * dl_ddlo
-    g_dhi_elem = gy * dy_ddhi + gl * dl_ddhi
-
-    kf = k.ravel()
-    g_w = np.bincount(kf, weights=g_w_elem.ravel(), minlength=m)
-    g_h = np.bincount(kf, weights=g_h_elem.ravel(), minlength=m)
-    g_d = np.bincount(kf, weights=g_dlo_elem.ravel(), minlength=K)
-    g_d += np.bincount(kf + 1, weights=g_dhi_elem.ravel(), minlength=K)
-    g_xknot = np.bincount(kf, weights=g_xk_elem.ravel(), minlength=m)
-    g_yknot = np.bincount(kf, weights=g_yk_elem.ravel(), minlength=m)
+    # xi = (x - x_k) / w and s = h / w; per-bin constants leave the sums
+    g_xknot = -inv_w * sum_xi
+    g_w = -inv_w * (sum_xi_xi + kn.s * sum_s)
+    g_h += inv_w * sum_s
+    g_d = np.zeros(spline.n_knots)
+    g_d[:-1] = sum_dlo
+    g_d[1:] += sum_dhi
 
     # tails: y = d0*x below, 1 + d1*(x-1) above
-    if lo.any():
-        g_x = np.where(lo, g_y * kn.d[0], g_x)
-        g_d[0] += float((g_y * x)[lo].sum() + (g_ld / kn.d[0])[lo].sum())
-    if hi.any():
-        g_x = np.where(hi, g_y * kn.d[-1], g_x)
-        g_d[-1] += float((g_y * (x - 1.0))[hi].sum() + (g_ld / kn.d[-1])[hi].sum())
+    if lo is not None:
+        g_x[lo] = g_y[lo] * kn.d[0]
+        g_d[0] += float(g_y[lo] @ x[lo] + g_ld[lo].sum() / kn.d[0])
+    if hi is not None:
+        g_x[hi] = g_y[hi] * kn.d[-1]
+        g_d[-1] += float(g_y[hi] @ (x[hi] - 1.0) + g_ld[hi].sum() / kn.d[-1])
 
     # knot positions are prefix sums of widths/heights
-    suf_x = np.concatenate([np.cumsum(g_xknot[::-1])[::-1], [0.0]])
-    suf_y = np.concatenate([np.cumsum(g_yknot[::-1])[::-1], [0.0]])
-    g_w = g_w + suf_x[1:]
-    g_h = g_h + suf_y[1:]
+    g_w[:-1] += reversed_cumsum(g_xknot)[1:]
+    g_h[:-1] += reversed_cumsum(g_yknot)[1:]
 
     scale = 1.0 - m * MIN_BIN
     g_sm_w = scale * g_w
@@ -253,3 +305,22 @@ def vjp(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, g_y: np.ndarray, g_
     g_td = g_d * kn.sig_d
 
     return g_x, np.concatenate([g_tw, g_th, g_td])
+
+
+def inv_jac_t(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, w: np.ndarray,
+              knots: Knots | None = None, res: Residuals | None = None):
+    """Divide ``w`` by the spline's derivative at ``x`` (its Jacobian is diagonal).
+
+    ``res`` is the record ``forward`` returned for this ``x``; without it
+    the forward pass is run here.
+    """
+    kn = knots if knots is not None else make_knots(spline, theta)
+    if res is None:
+        res = forward(spline, theta, x, kn)[2]
+    s = kn.s[res.k]
+    out = w * res.den * res.den / (s * s * res.q)
+    if res.lo is not None:
+        out[res.lo] = w[res.lo] / kn.d[0]
+    if res.hi is not None:
+        out[res.hi] = w[res.hi] / kn.d[-1]
+    return out

@@ -4,7 +4,9 @@ A chain maps a batch of non-decreasing time rows to non-decreasing rows of
 cumulative intensity, together with the log-diagonal of the (lower
 triangular) Jacobian.  Every layer has a closed-form forward, inverse and
 vector-Jacobian product, so densities, samples and gradients never touch an
-autodiff framework.
+autodiff framework.  A layer's ``forward`` returns its output, its
+log-diagonal and a record its ``vjp`` and ``inv_jac_t`` can reuse (a
+spline's bins and intermediates; ``None`` for every other layer).
 
 Padding semantics: rows are padded by repeating the horizon, which makes the
 padded inter-event gaps exactly zero.  Gap-space layers pin those zero gaps
@@ -19,7 +21,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from . import splines as sp
-from .splines import RqsSpline, sigmoid
+from .splines import RqsSpline, reversed_cumsum, sigmoid
 
 __all__ = [
     "DomainError",
@@ -66,11 +68,6 @@ def pairwise_diff(x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _cumsum_t(x: np.ndarray) -> np.ndarray:
-    """Transpose of the row-wise cumulative sum: a reversed cumulative sum."""
-    return np.cumsum(x[..., ::-1], axis=-1)[..., ::-1]
-
-
 def _diff_t(x: np.ndarray) -> np.ndarray:
     """Transpose of the row-wise adjacent difference."""
     u = x.copy()
@@ -109,12 +106,11 @@ class Spline:
     def inverse(self, y, p):
         return sp.inverse(self.rqs, p, y)
 
-    def vjp(self, x, p, g_y, g_ld):
-        return sp.vjp(self.rqs, p, x, g_y, g_ld)
+    def vjp(self, x, p, g_y, g_ld, res=None):
+        return sp.vjp(self.rqs, p, x, g_y, g_ld, res=res)
 
-    def inv_jac_t(self, x, p, w):
-        _, ld = sp.forward(self.rqs, p, x)
-        return w * np.exp(-ld)
+    def inv_jac_t(self, x, p, w, res=None):
+        return sp.inv_jac_t(self.rqs, p, x, w, res=res)
 
     def validate(self, x):
         pass  # total map thanks to the linear tails
@@ -176,7 +172,7 @@ class BlockDiag:
         y = y.reshape(x.shape[:-1] + (-1,))[..., left:left + n]
         pos = (np.arange(n) + left) % self.size
         ld = np.broadcast_to(p[:self.size][pos], x.shape).copy()
-        return y, ld
+        return y, ld, None
 
     def inverse(self, y, p):
         b = self.matrix(p)
@@ -186,7 +182,7 @@ class BlockDiag:
         n = y.shape[-1]
         return x.reshape(y.shape[:-1] + (-1,))[..., left:left + n]
 
-    def vjp(self, x, p, g_y, g_ld):
+    def vjp(self, x, p, g_y, g_ld, res=None):
         b = self.matrix(p)
         h = self.size
         xc, left = self._chunk(x)
@@ -202,7 +198,7 @@ class BlockDiag:
         g_p[:h] += np.bincount(pos, weights=g_ld.reshape(-1, n).sum(axis=0), minlength=h)
         return g_x, g_p
 
-    def inv_jac_t(self, x, p, w):
+    def inv_jac_t(self, x, p, w, res=None):
         b = self.matrix(p)
         chunks, left = self._chunk(w)
         flat = chunks.reshape(-1, self.size)
@@ -229,17 +225,17 @@ class Scale:
 
     def forward(self, x, p):
         s = np.exp(p[0])
-        return s * x, np.full_like(x, p[0])
+        return s * x, np.full_like(x, p[0]), None
 
     def inverse(self, y, p):
         return y * np.exp(-p[0])
 
-    def vjp(self, x, p, g_y, g_ld):
+    def vjp(self, x, p, g_y, g_ld, res=None):
         s = np.exp(p[0])
         g_p = np.array([s * float((g_y * x).sum()) + float(g_ld.sum())])
         return s * g_y, g_p
 
-    def inv_jac_t(self, x, p, w):
+    def inv_jac_t(self, x, p, w, res=None):
         return w * np.exp(-p[0])
 
     def validate(self, x):
@@ -262,15 +258,15 @@ class FixedScale:
             raise ValueError(f"scale must be > 0, got {self.value}")
 
     def forward(self, x, p):
-        return self.value * x, np.full_like(x, np.log(self.value))
+        return self.value * x, np.full_like(x, np.log(self.value)), None
 
     def inverse(self, y, p):
         return y / self.value
 
-    def vjp(self, x, p, g_y, g_ld):
+    def vjp(self, x, p, g_y, g_ld, res=None):
         return self.value * g_y, None
 
-    def inv_jac_t(self, x, p, w):
+    def inv_jac_t(self, x, p, w, res=None):
         return w / self.value
 
     def validate(self, x):
@@ -306,17 +302,17 @@ class Bridge:
     def forward(self, x, p):
         k = self.kind
         if k == "psi":
-            return -np.expm1(-x), -x
+            return -np.expm1(-x), -x, None
         if k == "psi_inv":
             xc = np.clip(x, CLAMP, 1.0 - CLAMP)
             y = -np.log1p(-xc)
-            return y, y
+            return y, y, None
         if k == "sigmoid":
             # log sigmoid'(x) = log s + log(1 - s), free of cancellation
             ax = np.abs(x)
-            return sigmoid(x), -ax - 2.0 * np.log1p(np.exp(-ax))
+            return sigmoid(x), -ax - 2.0 * np.log1p(np.exp(-ax)), None
         xc = np.clip(x, CLAMP, 1.0 - CLAMP)
-        return np.log(xc) - np.log1p(-xc), -np.log(xc) - np.log1p(-xc)
+        return np.log(xc) - np.log1p(-xc), -np.log(xc) - np.log1p(-xc), None
 
     def inverse(self, y, p):
         k = self.kind
@@ -330,7 +326,7 @@ class Bridge:
             return np.log(yc) - np.log1p(-yc)
         return sigmoid(y)
 
-    def vjp(self, x, p, g_y, g_ld):
+    def vjp(self, x, p, g_y, g_ld, res=None):
         k = self.kind
         if k == "psi":
             return g_y * np.exp(-x) - g_ld, None
@@ -343,7 +339,7 @@ class Bridge:
         xc = np.clip(x, CLAMP, 1.0 - CLAMP)
         return (g_y + g_ld * (2.0 * xc - 1.0)) / (xc * (1.0 - xc)), None
 
-    def inv_jac_t(self, x, p, w):
+    def inv_jac_t(self, x, p, w, res=None):
         k = self.kind
         if k == "psi":
             return w * np.exp(x)
@@ -375,15 +371,15 @@ class Cumsum:
     force_inv = False
 
     def forward(self, x, p):
-        return np.cumsum(x, axis=-1), np.zeros_like(x)
+        return np.cumsum(x, axis=-1), np.zeros_like(x), None
 
     def inverse(self, y, p):
         return pairwise_diff(y)
 
-    def vjp(self, x, p, g_y, g_ld):
-        return _cumsum_t(g_y), None
+    def vjp(self, x, p, g_y, g_ld, res=None):
+        return reversed_cumsum(g_y), None
 
-    def inv_jac_t(self, x, p, w):
+    def inv_jac_t(self, x, p, w, res=None):
         return _diff_t(w)
 
     def validate(self, x):
@@ -400,16 +396,16 @@ class Diff:
     force_inv = False
 
     def forward(self, x, p):
-        return pairwise_diff(x), np.zeros_like(x)
+        return pairwise_diff(x), np.zeros_like(x), None
 
     def inverse(self, y, p):
         return np.cumsum(y, axis=-1)
 
-    def vjp(self, x, p, g_y, g_ld):
+    def vjp(self, x, p, g_y, g_ld, res=None):
         return _diff_t(g_y), None
 
-    def inv_jac_t(self, x, p, w):
-        return _cumsum_t(w)
+    def inv_jac_t(self, x, p, w, res=None):
+        return reversed_cumsum(w)
 
     def validate(self, x):
         pass
@@ -508,6 +504,7 @@ class ChainCache:
     spec: TransformSpec
     store: ParamStore
     inputs: list            # per layer input matrix
+    residuals: list         # per layer forward record for its vjp (or None)
     pins: list              # per layer pin mask active at the layer OUTPUT (or None)
     z: np.ndarray
     logdiag: np.ndarray
@@ -520,36 +517,43 @@ def _validate_rows(x, what):
         raise ValueError(f"{what} must be finite")
     if float(x[..., 0].min()) < 0:
         raise ValueError(f"{what} must be non-negative")
-    if x.shape[-1] > 1 and np.any(np.diff(x, axis=-1) < 0):
+    if np.any(x[..., 1:] < x[..., :-1]):
         raise ValueError(f"{what} rows must be non-decreasing")
 
 
-def _run_forward(times, spec, store, validate):
-    x = np.atleast_2d(np.asarray(times, dtype=np.float64)).copy()
+def _run_forward(times, spec, store, validate, keep=False):
+    """Forward pass; with ``keep`` the layer inputs and forward records are
+    returned for a VJP, otherwise each is dropped once its layer has run."""
+    x = np.atleast_2d(np.asarray(times, dtype=np.float64))
+    if keep:
+        x = x.copy()    # the cache must not alias the caller's array
     if validate:
         _validate_rows(x, "times")
     logdiag = np.zeros_like(x)
-    inputs, pins = [], []
+    inputs, residuals, pins = [], [], []
     pin = None
     for layer in spec.layers:
         layer.validate(x)
-        inputs.append(x)
         p = _params_of(layer, store)
-        y, ld = layer.forward(x, p)
+        y, ld, res = layer.forward(x, p)
         if isinstance(layer, Diff):
             pin = y == 0.0
             if not pin.any():
                 pin = None
         if pin is not None:
+            # y and ld are fresh arrays of this layer, so pin them in place
             if layer.force_fwd:
-                y = np.where(pin, 0.0, y)
-            ld = np.where(pin, 0.0, ld)
-        pins.append(None if pin is None else pin)
+                np.copyto(y, 0.0, where=pin)
+            np.copyto(ld, 0.0, where=pin)
+        if keep:
+            inputs.append(x)
+            residuals.append(res)
+        pins.append(pin)
         logdiag += ld
         x = y
         if isinstance(layer, Cumsum):
             pin = None
-    return x, logdiag, inputs, pins
+    return x, logdiag, inputs, pins, residuals
 
 
 def compose_forward(batch_times, spec: TransformSpec, store: ParamStore, validate: bool = True):
@@ -558,13 +562,13 @@ def compose_forward(batch_times, spec: TransformSpec, store: ParamStore, validat
     Returns ``(z, logdiag)`` where ``z`` holds the cumulative-intensity rows
     and ``logdiag`` the per-position log Jacobian diagonal.
     """
-    z, logdiag, _, _ = _run_forward(batch_times, spec, store, validate)
+    z, logdiag, _, _, _ = _run_forward(batch_times, spec, store, validate)
     return z, logdiag
 
 
 def compose_forward_cached(batch_times, spec, store, validate: bool = True) -> ChainCache:
-    z, logdiag, inputs, pins = _run_forward(batch_times, spec, store, validate)
-    return ChainCache(spec, store, inputs, pins, z, logdiag)
+    z, logdiag, inputs, pins, residuals = _run_forward(batch_times, spec, store, validate, keep=True)
+    return ChainCache(spec, store, inputs, residuals, pins, z, logdiag)
 
 
 def compose_inverse(z, spec: TransformSpec, store: ParamStore, validate: bool = True):
@@ -600,14 +604,20 @@ def chain_vjp_cached(cache: ChainCache, cot_z, cot_logdiag):
     if g.shape != cache.z.shape or g_ld_full.shape != cache.z.shape:
         raise ValueError("cotangent shapes must match the forward output")
     grad = np.zeros_like(store.values)
+    masked_pin, g_ld_masked = None, None
     for i in range(len(spec.layers) - 1, -1, -1):
         layer = spec.layers[i]
         pin = cache.pins[i]
-        g_ld = g_ld_full if pin is None else np.where(pin, 0.0, g_ld_full)
-        if pin is not None and layer.force_fwd:
-            g = np.where(pin, 0.0, g)
+        if pin is None:
+            g_ld = g_ld_full
+        else:
+            if pin is not masked_pin:     # one pin mask serves a run of layers
+                masked_pin, g_ld_masked = pin, np.where(pin, 0.0, g_ld_full)
+            g_ld = g_ld_masked
+            if layer.force_fwd:
+                np.copyto(g, 0.0, where=pin)   # a copy of cot_z or a fresh layer output
         p = _params_of(layer, store)
-        g, g_p = layer.vjp(cache.inputs[i], p, g, g_ld)
+        g, g_p = layer.vjp(cache.inputs[i], p, g, g_ld, cache.residuals[i])
         if g_p is not None:
             grad[store.slices[layer.name]] += g_p
     return grad, g
@@ -629,8 +639,8 @@ def inverse_jac_t_apply(cache: ChainCache, w):
     if any(p is not None for p in cache.pins):
         raise ValueError("inverse_jac_t_apply requires a pin-free forward cache")
     u = np.array(w, dtype=np.float64, copy=True)
-    for layer, x in zip(cache.spec.layers, cache.inputs):
-        u = layer.inv_jac_t(x, _params_of(layer, cache.store), u)
+    for layer, x, res in zip(cache.spec.layers, cache.inputs, cache.residuals):
+        u = layer.inv_jac_t(x, _params_of(layer, cache.store), u, res)
     return u
 
 

@@ -32,14 +32,14 @@ def theta10(spline10, rng):
 
 def test_identity_configuration(spline10):
     theta = np.zeros(spline10.n_params)
-    y, ld = sp.forward(spline10, theta, np.array([0.3]))
+    y, ld, _ = sp.forward(spline10, theta, np.array([0.3]))
     assert y[0] == pytest.approx(0.3, abs=1e-15)
     assert ld[0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_boundary_pinned(spline10, theta10):
     x = np.array([1e-9, 1 - 1e-9])
-    y, _ = sp.forward(spline10, theta10, x)
+    y, _, _ = sp.forward(spline10, theta10, x)
     assert 0 < y[0] < 1e-5
     assert 1 - 1e-5 < y[1] < 1
 
@@ -47,12 +47,12 @@ def test_boundary_pinned(spline10, theta10):
 def test_matches_direct_formula_and_numeric_slope(spline10, theta10):
     knots = sp.make_knots(spline10, theta10)
     x = np.array([0.5])
-    y, ld = sp.forward(spline10, theta10, x)
+    y, ld, _ = sp.forward(spline10, theta10, x)
     ref_y, ref_d = reference_bin_eval(knots, 0.5)
     assert y[0] == pytest.approx(ref_y, rel=1e-12)
     h = 1e-6
-    yp, _ = sp.forward(spline10, theta10, x + h)
-    ym, _ = sp.forward(spline10, theta10, x - h)
+    yp, _, _ = sp.forward(spline10, theta10, x + h)
+    ym, _, _ = sp.forward(spline10, theta10, x - h)
     slope = (yp[0] - ym[0]) / (2 * h)
     assert np.exp(ld[0]) == pytest.approx(slope, rel=1e-6)
     assert np.exp(ld[0]) == pytest.approx(ref_d, rel=1e-12)
@@ -67,7 +67,7 @@ def test_inverse_identity(spline10):
 def test_inverse_round_trip(spline10, theta10, rng):
     y = rng.uniform(0, 1, 10_000)
     x = sp.inverse(spline10, theta10, y)
-    y2, _ = sp.forward(spline10, theta10, x)
+    y2, _, _ = sp.forward(spline10, theta10, x)
     assert np.abs(y2 - y).max() < 1e-10
 
 
@@ -76,7 +76,7 @@ def test_inverse_matches_bisection(spline10, theta10):
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        val, _ = sp.forward(spline10, theta10, np.array([mid]))
+        val, _, _ = sp.forward(spline10, theta10, np.array([mid]))
         if val[0] < target:
             lo = mid
         else:
@@ -91,15 +91,15 @@ def test_knot_boundary_continuity(spline10, theta10):
     knots = sp.make_knots(spline10, theta10)
     eps = 1e-13
     for xk in knots.x[1:-1]:
-        y_lo, ld_lo = sp.forward(spline10, theta10, np.array([xk - eps]))
-        y_hi, ld_hi = sp.forward(spline10, theta10, np.array([xk + eps]))
+        y_lo, ld_lo, _ = sp.forward(spline10, theta10, np.array([xk - eps]))
+        y_hi, ld_hi, _ = sp.forward(spline10, theta10, np.array([xk + eps]))
         assert abs(y_hi[0] - y_lo[0]) < 1e-12
         assert abs(np.exp(ld_hi[0]) - np.exp(ld_lo[0])) < 1e-9 * max(1.0, np.exp(ld_lo[0]))
 
 
 def test_monotone_increasing_bijection(spline10, theta10, rng):
     x = np.sort(rng.uniform(0, 1, 2000))
-    y, _ = sp.forward(spline10, theta10, x)
+    y, _, _ = sp.forward(spline10, theta10, x)
     assert np.all(np.diff(y) > 0)
     assert y.min() > 0 and y.max() < 1
     knots = sp.make_knots(spline10, theta10)
@@ -110,7 +110,7 @@ def test_monotone_increasing_bijection(spline10, theta10, rng):
 
 def test_linear_tails_round_trip(spline10, theta10):
     x = np.array([-2.0, 1.5, 40.0])
-    y, ld = sp.forward(spline10, theta10, x)
+    y, ld, _ = sp.forward(spline10, theta10, x)
     knots = sp.make_knots(spline10, theta10)
     assert ld[0] == pytest.approx(np.log(knots.d[0]))
     assert ld[1] == pytest.approx(np.log(knots.d[-1]))
@@ -118,13 +118,27 @@ def test_linear_tails_round_trip(spline10, theta10):
 
 
 def test_vjp_matches_finite_differences(spline10, theta10, rng):
-    x = np.concatenate([rng.uniform(0.02, 0.98, 40), [1.3, -0.4]])
+    """Smooth points, both tails, 0 and 1, and inputs exactly on the knots.
+
+    The log-derivative has a kink in x at every knot and at 0 and 1, and in
+    theta where a moving knot passes through x, so there only the value's
+    cotangent is checked; in x with a one-sided difference, as the value's
+    second derivative jumps at a knot.
+    """
+    knots = sp.make_knots(spline10, theta10)
+    smooth = np.concatenate([rng.uniform(0.02, 0.98, 40), [1.3, -0.4, -2.0, 3.0]])
+    edges = np.array([0.0, 1.0])
+    moving = knots.x[1:-1]
+    x = np.concatenate([smooth, edges, moving])
+    n_smooth = smooth.size
     gy = rng.normal(0, 1, x.shape)
     gl = rng.normal(0, 1, x.shape)
+    gl[n_smooth + edges.size:] = 0.0
     gx, gth = sp.vjp(spline10, theta10, x, gy, gl)
+    gx_value, _ = sp.vjp(spline10, theta10, x, gy, np.zeros_like(x))
 
-    def objective(theta, xs):
-        y, ld = sp.forward(spline10, theta, xs)
+    def objective(theta, xs, gl=gl):
+        y, ld, _ = sp.forward(spline10, theta, xs)
         return float((gy * y).sum() + (gl * ld).sum())
 
     eps = 1e-6
@@ -133,18 +147,70 @@ def test_vjp_matches_finite_differences(spline10, theta10, rng):
         e[i] = eps
         num = (objective(theta10 + e, x) - objective(theta10 - e, x)) / (2 * eps)
         assert gth[i] == pytest.approx(num, rel=2e-5, abs=1e-7)
-    for j in range(0, 42, 7):
+    for j in list(range(0, n_smooth, 7)) + list(range(n_smooth, x.size)):
         e = np.zeros_like(x)
         e[j] = eps
-        num = (objective(theta10, x + e) - objective(theta10, x - e)) / (2 * eps)
-        assert gx[j] == pytest.approx(num, rel=2e-5, abs=1e-7)
+        if j < n_smooth:
+            num = (objective(theta10, x + e) - objective(theta10, x - e)) / (2 * eps)
+            assert gx[j] == pytest.approx(num, rel=2e-5, abs=1e-7)
+        else:
+            f = [objective(theta10, x + c * e, np.zeros_like(x)) for c in (0, 1, 2)]
+            num = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * eps)
+            assert gx_value[j] == pytest.approx(num, rel=2e-5, abs=1e-7)
+
+
+@pytest.mark.parametrize("n_knots", [2, 5, 20, 300])
+def test_bin_index_matches_clipped_searchsorted(n_knots, rng):
+    """Random points, every knot, both float neighbours of every knot, 0 and 1;
+    300 knots need an index wider than uint8."""
+    spline = RqsSpline(n_knots)
+    theta = rng.normal(0.0, 1.0, spline.n_params)
+    edges = sp.make_knots(spline, theta).x
+    v = np.concatenate([rng.uniform(0.0, 1.0, 5000), edges, np.nextafter(edges, -np.inf),
+                        np.nextafter(edges, np.inf), [0.0, 1.0]])
+    v = np.clip(v, 0.0, 1.0)
+    expected = np.clip(np.searchsorted(edges, v, "right") - 1, 0, spline.n_bins - 1)
+    k = sp._bin_index(edges, v)
+    assert k.dtype == (np.uint8 if spline.n_bins <= 256 else np.uint16)
+    assert np.array_equal(k, expected)
+    assert np.array_equal(sp.forward(spline, theta, v)[2].k, expected)
+
+
+def test_inv_jac_t_divides_by_the_derivative(spline10, theta10, rng):
+    """From a kept forward record or from x alone, in the bins and both tails."""
+    x = np.concatenate([rng.uniform(0.0, 1.0, (3, 50)), [[-0.5] * 50, [1.5] * 50]])
+    w = rng.normal(0, 1, x.shape)
+    _, ld, res = sp.forward(spline10, theta10, x)
+    u = sp.inv_jac_t(spline10, theta10, x, w, res=res)
+    assert np.array_equal(u, sp.inv_jac_t(spline10, theta10, x, w))
+    assert np.abs(u - w * np.exp(-ld)).max() < 1e-12 * np.abs(u).max()
+
+
+def test_blocked_evaluation_matches_small_calls(spline10, theta10, rng):
+    """Inputs spanning several evaluation blocks give, element for element,
+    what calls on short pieces give."""
+    x = rng.uniform(-0.1, 1.1, (3, sp._BLOCK + 5))
+    gy, gl = rng.normal(0, 1, x.shape), rng.normal(0, 1, x.shape)
+    y, ld, res = sp.forward(spline10, theta10, x)
+    gx, gth = sp.vjp(spline10, theta10, x, gy, gl, res=res)
+    x_back = sp.inverse(spline10, theta10, y)
+    gth_parts = np.zeros_like(gth)
+    for r in range(3):
+        for piece in np.array_split(np.arange(x.shape[1]), 7):
+            y_p, ld_p, _ = sp.forward(spline10, theta10, x[r, piece])
+            assert np.array_equal(y_p, y[r, piece]) and np.array_equal(ld_p, ld[r, piece])
+            assert np.array_equal(sp.inverse(spline10, theta10, y_p), x_back[r, piece])
+            gx_p, gth_p = sp.vjp(spline10, theta10, x[r, piece], gy[r, piece], gl[r, piece])
+            assert np.array_equal(gx_p, gx[r, piece])
+            gth_parts += gth_p
+    assert np.allclose(gth_parts, gth, rtol=1e-9, atol=1e-9 * np.abs(gth).max())
 
 
 def test_spline_ops_are_total(spline10, theta10):
     """The interval edges and both linear tails belong to the map: nothing
     outside (0, 1) is rejected."""
     d0 = sp.make_knots(spline10, theta10).d[0]
-    y, ld = sp.forward(spline10, theta10, np.array([0.0, 0.4, 1.2]))
+    y, ld, _ = sp.forward(spline10, theta10, np.array([0.0, 0.4, 1.2]))
     assert y[0] == 0.0
     assert ld[0] == pytest.approx(np.log(d0), abs=1e-12)
     x = sp.inverse(spline10, theta10, np.concatenate([[-0.1], y]))

@@ -57,20 +57,20 @@ def test_cumsum_diff_transposed_operators_match_dense(rng):
 
 
 def test_bridge_closed_forms():
-    y, ld = tr.Bridge("psi").forward(np.array([np.log(2.0)]), None)
+    y, ld, _ = tr.Bridge("psi").forward(np.array([np.log(2.0)]), None)
     assert y[0] == pytest.approx(0.5, abs=1e-15)
     assert ld[0] == pytest.approx(-np.log(2.0), abs=1e-15)
-    y, ld = tr.Bridge("sigmoid").forward(np.array([0.0]), None)
+    y, ld, _ = tr.Bridge("sigmoid").forward(np.array([0.0]), None)
     assert y[0] == 0.5
     assert ld[0] == pytest.approx(np.log(0.25), abs=1e-15)
-    y, ld = tr.FixedScale(1.0 / 100.0).forward(np.array([25.0]), None)
+    y, ld, _ = tr.FixedScale(1.0 / 100.0).forward(np.array([25.0]), None)
     assert y[0] == pytest.approx(0.25)
     assert ld[0] == pytest.approx(-np.log(100.0))
 
 
 def test_sigmoid_log_derivative_matches_direct_form(rng):
     x = np.concatenate([rng.normal(0, 3, 200), [-40.0, -700.0, 40.0, 700.0]])
-    y, ld = tr.Bridge("sigmoid").forward(x, None)
+    y, ld, _ = tr.Bridge("sigmoid").forward(x, None)
     assert np.all((y >= 0) & (y <= 1)) and np.all(np.isfinite(ld))
     mid = np.abs(x) < 20
     direct = np.log(y[mid] * (1.0 - y[mid]))
@@ -83,7 +83,7 @@ def test_bridge_inverse_pairs(rng):
         layer = tr.Bridge(kind)
         x = rng.uniform(0.05, 0.95, 100) if kind in ("psi_inv", "logit") \
             else (rng.uniform(0.1, 5, 100) if kind == "psi" else rng.normal(0, 2, 100))
-        y, _ = layer.forward(x, None)
+        y, _, _ = layer.forward(x, None)
         assert np.abs(layer.inverse(y, None) - x).max() < 1e-12
 
 
@@ -122,10 +122,10 @@ def dense_block_matrix(block: tr.BlockDiag, theta, n: int) -> np.ndarray:
 
 def test_block_identity_and_2x2_example():
     blk = tr.BlockDiag("b", 2, 0)
-    y, ld = blk.forward(np.array([[1.0, 1.0]]), np.zeros(3))
+    y, ld, _ = blk.forward(np.array([[1.0, 1.0]]), np.zeros(3))
     assert np.array_equal(y, [[1.0, 1.0]]) and np.array_equal(ld, [[0.0, 0.0]])
     theta = np.array([np.log(2.0), 0.0, 1.0])   # [[2, 0], [1, 1]]
-    y, ld = blk.forward(np.array([[1.0, 1.0]]), theta)
+    y, ld, _ = blk.forward(np.array([[1.0, 1.0]]), theta)
     assert np.allclose(y, [[2.0, 2.0]])
     assert np.allclose(ld, [[np.log(2.0), 0.0]])
 
@@ -135,7 +135,7 @@ def test_block_forward_matches_dense_oracle(rng, offset):
     blk = tr.BlockDiag("b", 4, offset)
     theta = rng.normal(0, 0.7, blk.n_params)
     x = rng.normal(0, 1, (3, 10))
-    y, ld = blk.forward(x, theta)
+    y, ld, _ = blk.forward(x, theta)
     dense = dense_block_matrix(blk, theta, 10)
     assert np.abs(y - x @ dense.T).max() < 1e-13
     assert np.abs(np.exp(ld) - np.diag(dense)).max() < 1e-13
@@ -149,8 +149,8 @@ def test_block_window_consistency(rng):
     blk = tr.BlockDiag("b", 4, 2)
     theta = rng.normal(0, 0.5, blk.n_params)
     x = rng.normal(0, 1, (2, 9))
-    y_small, _ = blk.forward(x, theta)
-    y_big, _ = blk.forward(np.concatenate([x, rng.normal(0, 1, (2, 6))], axis=1), theta)
+    y_small, _, _ = blk.forward(x, theta)
+    y_big, _, _ = blk.forward(np.concatenate([x, rng.normal(0, 1, (2, 6))], axis=1), theta)
     assert np.array_equal(y_big[:, :9], y_small)
 
 
@@ -158,7 +158,7 @@ def test_block_round_trip(rng):
     blk = tr.BlockDiag("b", 4, 0)
     theta = rng.normal(0, 0.5, blk.n_params)
     x = rng.normal(0, 1, (2, 8))
-    y, _ = blk.forward(x, theta)
+    y, _, _ = blk.forward(x, theta)
     assert np.abs(blk.inverse(y, theta) - x).max() < 1e-10
 
 
@@ -339,3 +339,47 @@ def test_chain_vjp_matches_finite_differences(rng, kind):
         num = (objective(base + e) - objective(base - e)) / (2 * h)
         denom = max(abs(num), abs(g[i]), 1e-6)
         assert abs(num - g[i]) / denom < 1e-5, f"{kind} param {i}"
+
+
+def test_chain_vjp_padded_batch_in_spline_tails(rng):
+    """Times past the horizon push the first spline into its upper tail and
+    padding pins the trailing zero gaps; the kept forward records give the
+    same outputs as the plain forward pass and exact gradients."""
+    model = make_model("tritpp", horizon=10.0, seed=8, noise=0.4)
+    times = np.full((3, 26), 13.0)
+    for r, n in enumerate((25, 12, 4)):
+        times[r, :n] = np.sort(rng.uniform(0.0, 13.0, n))
+    z, ld = tr.compose_forward(times, model.spec, model.params)
+    cache = tr.compose_forward_cached(times, model.spec, model.params)
+    assert np.array_equal(cache.z, z) and np.array_equal(cache.logdiag, ld)
+    assert cache.pins[-1] is not None and cache.pins[-1].sum() >= 21
+    first_spline = next(r for layer, r in zip(model.spec.layers, cache.residuals)
+                        if isinstance(layer, tr.Spline))
+    assert first_spline.hi is not None and first_spline.hi.sum() >= 3
+
+    cot_z = rng.normal(0, 1, times.shape)
+    cot_ld = rng.normal(0, 1, times.shape)
+    g, g_t = tr.chain_vjp(times, model.spec, model.params, cot_z, cot_ld)
+
+    def objective(values, t=times):
+        store = tr.ParamStore(model.params.names, model.params.slices, values)
+        z, ld = tr.compose_forward(t, model.spec, store)
+        return float((cot_z * z).sum() + (cot_ld * ld).sum())
+
+    def check(num, grad, what):
+        assert abs(num - grad) / max(abs(num), abs(grad), 1e-6) < 1e-5, what
+
+    h = 1e-5
+    base = model.params.values
+    for i in range(base.size):
+        e = np.zeros_like(base)
+        e[i] = h
+        check((objective(base + e) - objective(base - e)) / (2 * h), g[i], f"param {i}")
+    assert np.all(g_t[cache.pins[-1]] == 0.0)    # pinned padding passes no cotangent
+    # event times only: moving a padded time would unpin its zero gap
+    for r, n in enumerate((25, 12, 4)):
+        for j in range(n):
+            e = np.zeros_like(times)
+            e[r, j] = 1e-6
+            num = (objective(base, times + e) - objective(base, times - e)) / 2e-6
+            check(num, g_t[r, j], f"time {r}, {j}")
