@@ -158,14 +158,17 @@ def obs_log_prob(obs: np.ndarray, traj: Trajectory, lam: np.ndarray) -> float:
 
 
 def _segment_potentials(obs, boundaries, params):
-    """phi[s, i, k] = -delta_i (A_k + lam_k) + count_i log lam_k."""
+    """phi[s, i, k] = -delta_i (A_k + lam_k) + count_i log lam_k.
+
+    Segment i is [b_i, b_{i+1}); observations before b_1 count in the first
+    segment and those at or after b_n in the last.  With #(obs < b_j) for the
+    inner boundaries of every row, each count is a difference of neighbours.
+    """
     deltas = np.diff(boundaries, axis=1)
-    s, n = deltas.shape
-    counts = np.zeros((s, n))
-    if obs.size:
-        for r in range(s):
-            seg = np.clip(np.searchsorted(boundaries[r, 1:], obs, side="right"), 0, n - 1)
-            counts[r] = np.bincount(seg, minlength=n)
+    n = deltas.shape[1]
+    obs = np.sort(obs)
+    below = np.searchsorted(obs, boundaries[:, 1:n])
+    counts = np.diff(below, axis=1, prepend=0, append=obs.size).astype(np.float64)
     rate_term = params.total_rates + params.lam
     phi = -deltas[:, :, None] * rate_term[None, None, :] \
         + counts[:, :, None] * np.log(params.lam)[None, None, :]
@@ -299,18 +302,50 @@ def _xlogx(x):
     return np.where(x > 0, x * np.log(np.where(x > 0, x, 1.0)), 0.0)
 
 
+# sigmoid(x) is exactly 1.0 in float64 once exp(-x) <= 2**-53, i.e. for
+# x >= 53 log 2 ~ 36.74, and below e**-37 ~ 8.5e-17 for x <= -37.
+_SOFT_REACH = 37.0
+_SOFT_CHUNK = 1 << 20   # most window terms evaluated at once
+
+
 def _soft_counts(boundaries, obs, gamma):
-    """Soft per-segment observation counts and the boundary sigmoid sums."""
-    s, nb = boundaries.shape
-    sb = np.zeros((s, nb))
-    sbp = np.zeros((s, nb))
-    chunk = max(1, int(4e6 // max(1, obs.size * nb)))
-    for lo in range(0, s, chunk):
-        hi = min(s, lo + chunk)
-        x = (boundaries[lo:hi, :, None] - obs[None, None, :]) / gamma
+    """Soft per-segment observation counts and the boundary sigmoid sums.
+
+    sb[r, j] = sum_i sigmoid((b_rj - o_i) / gamma) and sbp[r, j] is the same
+    sum of the sigmoid's derivative in b.  Observations below b - 37 gamma add
+    exactly 1 (and 0 to sbp), so they enter as a count; those above
+    b + 37 gamma are dropped, at most M e**-37 per boundary for M
+    observations.
+    Only the window in between is evaluated, once per distinct boundary
+    (every row starts at 0 and padded rows repeat the horizon), with the
+    windows of all boundaries laid end to end.
+    """
+    b, which = np.unique(boundaries.ravel(), return_inverse=True)
+    obs = np.sort(obs)
+    reach = _SOFT_REACH * gamma
+    lo = np.searchsorted(obs, b - reach)
+    width = np.searchsorted(obs, b + reach) - lo
+    ends = np.cumsum(width)
+    sb = lo.astype(np.float64)
+    sbp = np.zeros(b.size)
+    start = 0
+    while start < b.size:
+        # boundaries [start, stop) hold at most _SOFT_CHUNK terms, or are one boundary
+        first = ends[start] - width[start]
+        stop = max(start + 1, int(np.searchsorted(ends, first + _SOFT_CHUNK, side="right")))
+        w = width[start:stop]
+        row = np.repeat(np.arange(w.size), w)
+        idx = np.repeat(lo[start:stop] - (ends[start:stop] - w - first), w)
+        idx += np.arange(row.size)
+        x = b[start:stop][row] - obs[idx]
+        x /= gamma
         sig = sigmoid(x)
-        sb[lo:hi] = sig.sum(axis=2)
-        sbp[lo:hi] = (sig * (1.0 - sig)).sum(axis=2) / gamma
+        sb[start:stop] += np.bincount(row, sig, minlength=w.size)
+        sig *= 1.0 - sig
+        sbp[start:stop] = np.bincount(row, sig, minlength=w.size)
+        start = stop
+    sb = sb[which].reshape(boundaries.shape)
+    sbp = (sbp / gamma)[which].reshape(boundaries.shape)
     return sb[:, 1:] - sb[:, :-1], sb, sbp
 
 

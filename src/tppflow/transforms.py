@@ -312,7 +312,8 @@ class Bridge:
             ax = np.abs(x)
             return sigmoid(x), -ax - 2.0 * np.log1p(np.exp(-ax)), None
         xc = np.clip(x, CLAMP, 1.0 - CLAMP)
-        return np.log(xc) - np.log1p(-xc), -np.log(xc) - np.log1p(-xc), None
+        log_x, log_1mx = np.log(xc), np.log1p(-xc)
+        return log_x - log_1mx, -log_x - log_1mx, None
 
     def inverse(self, y, p):
         k = self.kind

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tppflow import mjp, tpp
+from tppflow.splines import sigmoid
 from tppflow.models import ModelKind, build_model
 
 
@@ -142,6 +143,49 @@ def test_forward_backward_validates_jumps():
         mjp.forward_backward(np.zeros(0), np.array([6.0]), p, 5.0)
 
 
+def padded_boundaries(rng, rows, cols, horizon):
+    """Boundary rows as ``elbo_relaxed`` builds them: 0, then sorted jump
+    times clipped at the horizon, so many rows end in repeats of it."""
+    jumps = np.cumsum(rng.exponential(horizon / (0.6 * cols), (rows, cols)), axis=1)
+    return np.concatenate([np.zeros((rows, 1)), np.minimum(jumps, horizon)], axis=1)
+
+
+def segment_cases(rng):
+    horizon = 5.0
+    b = padded_boundaries(rng, 40, 12, horizon)
+    inner = b[:, 1:-1].ravel()
+    on_boundary = rng.choice(inner[inner < horizon], 6, replace=False)
+    edges = np.array([0.0, 0.0, horizon, horizon])
+    return {
+        "random": (b, np.sort(rng.uniform(0, horizon, 30))),
+        "edges_and_boundaries": (b, np.sort(np.concatenate(
+            [rng.uniform(0, horizon, 20), on_boundary, edges]))),
+        "unsorted": (b, rng.permutation(np.concatenate([rng.uniform(0, horizon, 25), edges]))),
+        "no_observations": (b, np.zeros(0)),
+        "one_segment": (np.tile([0.0, horizon], (5, 1)), np.sort(np.concatenate(
+            [rng.uniform(0, horizon, 10), edges]))),
+    }
+
+
+@pytest.mark.parametrize("case", ["random", "edges_and_boundaries", "unsorted",
+                                  "no_observations", "one_segment"])
+def test_segment_counts_match_per_row_reference(case):
+    """Vectorised counts equal the per-row searchsorted/bincount bit for bit."""
+    boundaries, obs = segment_cases(np.random.default_rng(4))[case]
+    p = mjp.MmppParams(np.full(3, 1 / 3), np.full((3, 3), 0.2), np.array([0.5, 2.0, 7.0]))
+    s, n = boundaries.shape[0], boundaries.shape[1] - 1
+    ref = np.zeros((s, n))
+    if obs.size:
+        for r in range(s):
+            seg = np.clip(np.searchsorted(boundaries[r, 1:], obs, side="right"), 0, n - 1)
+            ref[r] = np.bincount(seg, minlength=n)
+    phi, deltas, counts = mjp._segment_potentials(obs, boundaries, p)
+    assert np.array_equal(counts, ref)
+    assert np.array_equal(deltas, np.diff(boundaries, axis=1))
+    assert np.array_equal(phi, -deltas[:, :, None] * (p.total_rates + p.lam)
+                          + ref[:, :, None] * np.log(p.lam))
+
+
 def _small_q(horizon, seed=0, noise=0.2, rate=0.8):
     q = build_model(ModelKind("tritpp", horizon, n_knots=5, block_size=4, n_blocks=1,
                               rate_init=rate))
@@ -224,6 +268,42 @@ def test_elbo_gradients_match_finite_differences(rng):
     d = np.array([1.0, -1.0]) * h
     num = (value(pi=p.pi + d) - value(pi=p.pi - d)) / (2 * h)
     assert float(est.grad_pi @ np.array([1.0, -1.0])) == pytest.approx(num, rel=1e-4)
+
+
+def dense_soft_counts(boundaries, obs, gamma):
+    """Every boundary against every observation: the S x (N+1) x M sum."""
+    sig = sigmoid((boundaries[:, :, None] - obs[None, None, :]) / gamma)
+    sb = sig.sum(axis=2)
+    sbp = (sig * (1.0 - sig)).sum(axis=2) / gamma
+    return sb[:, 1:] - sb[:, :-1], sb, sbp
+
+
+SOFT_CASES = {   # segment case, gamma
+    "random": ("random", 0.1),
+    "sharp": ("random", 1e-3),
+    "edges_and_boundaries": ("edges_and_boundaries", 0.1),
+    "unsorted": ("unsorted", 0.05),
+    "no_observations": ("no_observations", 0.1),
+    "every_window_holds_every_observation": ("edges_and_boundaries", 1e3),
+}
+
+
+@pytest.mark.parametrize("chunk", [None, 5])
+@pytest.mark.parametrize("case", list(SOFT_CASES))
+def test_soft_counts_match_dense_sum(case, chunk, monkeypatch):
+    """Windowed soft counts agree with the dense sum to 1e-12 relative, also
+    when the windows are evaluated a few elements at a time."""
+    name, gamma = SOFT_CASES[case]
+    boundaries, obs = segment_cases(np.random.default_rng(4))[name]
+    if chunk is not None:
+        monkeypatch.setattr(mjp, "_SOFT_CHUNK", chunk)
+    got = mjp._soft_counts(boundaries, obs, gamma)
+    want = dense_soft_counts(boundaries, obs, gamma)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.all(np.abs(g - w) <= 1e-12 * (1.0 + np.abs(w)))
+    if obs.size == 0:
+        assert not np.any(got[1]) and not np.any(got[2])
 
 
 def test_elbo_bound_never_exceeds_grid_evidence(rng):
