@@ -299,7 +299,7 @@ def run_bench(lengths, batch: int, runs: int, seed: int):
         t_par = []
         for r in range(runs):
             t0 = time.perf_counter()
-            sample(model, batch, seed + r, n_ext_hint=2 * length)
+            sample(model, batch, seed + r)
             t_par.append(time.perf_counter() - t0)
         rows.append((length, "sample", "parallel", float(np.median(t_par)), runs))
 

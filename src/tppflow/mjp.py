@@ -384,7 +384,7 @@ def elbo_relaxed(q_model: TppModel, params: MmppParams, obs: np.ndarray, n_sampl
     k = params.n_states
 
     if draws is None:
-        t_ext, _ = tpp.draw_extended(q_model, n_samples, seed, None)
+        t_ext, _ = tpp.draw_extended(q_model, n_samples, seed)
     else:
         t_ext = tpp.inverse_map(q_model, draws)
     paths = tpp.prepare_paths(q_model, t_ext, gamma)
@@ -569,7 +569,7 @@ def posterior_curves(q_model: TppModel, params: MmppParams, obs: np.ndarray,
                      n_grid: int = 200, n_samples: int = 512, seed: int = 0) -> np.ndarray:
     """Marginal state occupancy E_q[ 1(s(t) = k) ] on the evaluation grid."""
     obs = np.asarray(obs, dtype=np.float64).reshape(-1)
-    t_ext, _ = tpp.draw_extended(q_model, n_samples, seed, None)
+    t_ext, _ = tpp.draw_extended(q_model, n_samples, seed)
     paths = tpp.prepare_paths(q_model, t_ext, None)
     s, n = t_ext.shape
     boundaries = np.concatenate([np.zeros((s, 1)), paths.clipped], axis=1)

@@ -113,10 +113,31 @@ def log_prob_grad(model: TppModel, batch: PaddedBatch):
     return lp, grad
 
 
-def _estimated_count(model: TppModel) -> float:
-    """Cumulative intensity at T of the empty history, as a count hint."""
-    z, _ = tr.compose_forward(np.array([[model.horizon]]), model.spec, model.params)
-    return float(z[0, -1])
+def _estimated_count(model: TppModel) -> int:
+    """Events before the horizon on one row of unit gaps, z = (1, 2, ..., n).
+
+    The row grows x4 from 64 columns until it passes the horizon (at most
+    ``MAX_EXTENDED``); the inverse is prefix-stable, so the count does not
+    depend on where the growth stopped.  The forward map of the empty
+    history cannot serve here: psi saturates on the single gap [T] and
+    psi_inv clamps it, so that estimate never exceeds -log(CLAMP) ~ 27.6.
+    """
+    n = 64
+    while True:
+        t = inverse_map(model, np.arange(1.0, n + 1.0))
+        if float(t[0, -1]) >= model.horizon or n == MAX_EXTENDED:
+            return int(np.count_nonzero(t < model.horizon))
+        n = min(4 * n, MAX_EXTENDED)
+
+
+def _first_width(model: TppModel) -> int:
+    """Columns of the first draw: c + 6 sqrt(c) for the estimated count c.
+
+    A row's count is roughly Poisson(c), so a row outlasts the first draw
+    with probability ~1e-9; such a row costs one more round, not a result.
+    """
+    c = _estimated_count(model)
+    return min(MAX_EXTENDED, max(64, int(np.ceil(c + 6.0 * np.sqrt(c)))))
 
 
 def inverse_map(model: TppModel, z) -> np.ndarray:
@@ -125,18 +146,17 @@ def inverse_map(model: TppModel, z) -> np.ndarray:
                               model.spec, model.params)
 
 
-def draw_extended(model: TppModel, batch_size: int, seed: int, n_ext_hint: int | None = None):
+def draw_extended(model: TppModel, batch_size: int, seed: int):
     """Unit-rate draws pushed through the inverse map, per-row streams.
 
-    Rows are extended (doubling) until every last time reaches the horizon;
-    a row's stream continues where it left off, so the result for a row does
-    not depend on how many columns other rows forced.
+    The first draw has ``_first_width`` columns; rows are extended (doubling)
+    until every last time reaches the horizon.  A row's stream continues
+    where it left off and the inverse is prefix-stable, so the result does
+    not depend on the first width or on how many columns other rows forced.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if n_ext_hint is not None and n_ext_hint < 1:
-        raise ValueError(f"n_ext_hint must be >= 1, got {n_ext_hint}")
-    n = max(64, int(np.ceil(2.0 * _estimated_count(model))), n_ext_hint or 1)
+    n = _first_width(model)
     streams = row_streams(seed, batch_size, 2)
     gaps = np.stack([g.exponential(1.0, size=n) for g in streams])
     while True:
@@ -154,9 +174,9 @@ def draw_extended(model: TppModel, batch_size: int, seed: int, n_ext_hint: int |
 
 
 def sample(model: TppModel, batch_size: int, seed: int,
-           n_ext_hint: int | None = None, gamma: float | None = None) -> SampleBatch:
+           gamma: float | None = None) -> SampleBatch:
     """Draw sequences by parallel inversion of unit-rate Poisson noise."""
-    t_ext, _ = draw_extended(model, batch_size, seed, n_ext_hint)
+    t_ext, _ = draw_extended(model, batch_size, seed)
     return _finish_sample(model, t_ext, gamma)
 
 

@@ -6,7 +6,8 @@ triangular) Jacobian.  Every layer has a closed-form forward, inverse and
 vector-Jacobian product, so densities, samples and gradients never touch an
 autodiff framework.  A layer's ``forward`` returns its output, its
 log-diagonal and a record its ``vjp`` and ``inv_jac_t`` can reuse (a
-spline's bins and intermediates; ``None`` for every other layer).
+spline's bins and intermediates, the sigmoid bridge's output; ``None`` for
+every other layer).
 
 Padding semantics: rows are padded by repeating the horizon, which makes the
 padded inter-event gaps exactly zero.  Gap-space layers pin those zero gaps
@@ -308,9 +309,11 @@ class Bridge:
             y = -np.log1p(-xc)
             return y, y, None
         if k == "sigmoid":
-            # log sigmoid'(x) = log s + log(1 - s), free of cancellation
+            # log sigmoid'(x) = log s + log(1 - s), free of cancellation;
+            # s is also the record that vjp and inv_jac_t read
             ax = np.abs(x)
-            return sigmoid(x), -ax - 2.0 * np.log1p(np.exp(-ax)), None
+            s = sigmoid(x)
+            return s, -ax - 2.0 * np.log1p(np.exp(-ax)), s
         xc = np.clip(x, CLAMP, 1.0 - CLAMP)
         log_x, log_1mx = np.log(xc), np.log1p(-xc)
         return log_x - log_1mx, -log_x - log_1mx, None
@@ -335,7 +338,7 @@ class Bridge:
             d = 1.0 / (1.0 - np.clip(x, CLAMP, 1.0 - CLAMP))
             return (g_y + g_ld) * d, None
         if k == "sigmoid":
-            s = sigmoid(x)
+            s = sigmoid(x) if res is None else res
             return g_y * s * (1.0 - s) + g_ld * (1.0 - 2.0 * s), None
         xc = np.clip(x, CLAMP, 1.0 - CLAMP)
         return (g_y + g_ld * (2.0 * xc - 1.0)) / (xc * (1.0 - xc)), None
@@ -347,7 +350,7 @@ class Bridge:
         if k == "psi_inv":
             return w * (1.0 - np.clip(x, CLAMP, 1.0 - CLAMP))
         if k == "sigmoid":
-            s = sigmoid(x)
+            s = sigmoid(x) if res is None else res
             return w / (s * (1.0 - s))
         xc = np.clip(x, CLAMP, 1.0 - CLAMP)
         return w * xc * (1.0 - xc)
@@ -652,7 +655,10 @@ def inverse_jac_t_apply(cache: ChainCache, w):
 class SequentialInverter:
     """Inverts the chain one column at a time, mimicking an autoregressive
     sampler: each call to :meth:`step` consumes one z column and emits one
-    time column, using only previously seen columns."""
+    time column, using only previously seen columns.
+
+    Spline knots and block matrices are built once, from the parameters the
+    store holds at construction."""
 
     def __init__(self, spec: TransformSpec, store: ParamStore, batch_size: int):
         self.spec = spec
@@ -660,6 +666,7 @@ class SequentialInverter:
         self.b = batch_size
         self.pos = 0
         self._state = {}
+        self._const = {}
         for i, layer in enumerate(spec.layers):
             if isinstance(layer, Cumsum):
                 self._state[i] = np.zeros(batch_size)          # previous output column
@@ -667,13 +674,15 @@ class SequentialInverter:
                 self._state[i] = np.zeros(batch_size)          # previous input column
             elif isinstance(layer, BlockDiag):
                 self._state[i] = np.zeros((batch_size, layer.size))  # inputs of the current block
+                self._const[i] = layer.matrix(_params_of(layer, store))
+            elif isinstance(layer, Spline):
+                self._const[i] = (layer.rqs, sp.make_knots(layer.rqs, _params_of(layer, store)))
 
     def step(self, z_col: np.ndarray) -> np.ndarray:
         v = np.asarray(z_col, dtype=np.float64).copy()
         j = self.pos
         for i in range(len(self.spec.layers) - 1, -1, -1):
             layer = self.spec.layers[i]
-            p = _params_of(layer, self.store)
             if isinstance(layer, Cumsum):
                 prev = self._state[i]
                 self._state[i] = v.copy()
@@ -687,10 +696,13 @@ class SequentialInverter:
                 if r == 0:
                     self._state[i][:] = 0.0
                 buf = self._state[i]
-                bm = layer.matrix(p)
+                bm = self._const[i]
                 v = (v - buf[:, :r] @ bm[r, :r]) / bm[r, r]
                 buf[:, r] = v
+            elif isinstance(layer, Spline):
+                rqs, knots = self._const[i]
+                v = sp.inverse(rqs, None, v, knots=knots)
             else:
-                v = layer.inverse(v.reshape(-1, 1), p).ravel()
+                v = layer.inverse(v.reshape(-1, 1), _params_of(layer, self.store)).ravel()
         self.pos += 1
         return v

@@ -203,7 +203,7 @@ def test_elbo_hard_equals_unrelaxed_assembly(rng):
     q = _small_q(5.0, seed=1)
     obs = np.sort(rng.uniform(0, 5.0, 12))
     est = mjp.elbo_relaxed(q, p, obs, 6, gamma=0.1, seed=9, hard=True, want_grads=False)
-    t_ext, _ = tpp.draw_extended(q, 6, 9, None)
+    t_ext, _ = tpp.draw_extended(q, 6, 9)
     paths = tpp.prepare_paths(q, t_ext, None)
     for r in range(6):
         n_real = int(paths.hard_mask[r].sum())

@@ -103,8 +103,44 @@ def test_sample_validation():
     model = make_model("hpp", horizon=10.0, noise=0.0)
     with pytest.raises(ValueError):
         tpp.sample(model, 0, seed=0)
-    with pytest.raises(ValueError):
-        tpp.sample(model, 2, seed=0, n_ext_hint=0)
+
+
+def test_count_estimate_sizes_one_draw(monkeypatch):
+    """The unit-gap count lands near the sampled count, so the first draw
+    already reaches the horizon on every row: one batch inversion, no
+    doubling rounds.  (The forward map of the empty history saturated at
+    -log(CLAMP) ~ 27.6 here.)"""
+    model = make_model("tritpp", horizon=100.0, noise=0.05, rate_init=14.0)
+    batch_size = 50
+    widths = []
+    inverse = tr.compose_inverse
+
+    def counted(z, *args, **kwargs):
+        if np.shape(z)[0] == batch_size:
+            widths.append(np.shape(z)[1])
+        return inverse(z, *args, **kwargs)
+
+    monkeypatch.setattr(tr, "compose_inverse", counted)
+    t_ext, _ = tpp.draw_extended(model, batch_size, seed=3)
+    mean_count = (t_ext < model.horizon).sum(axis=1).mean()
+    assert abs(tpp._estimated_count(model) - mean_count) <= 0.1 * mean_count
+    assert len(widths) == 1, widths
+
+
+@pytest.mark.parametrize("kind,rate", [("hpp", 3.0), ("ipp", 0.5), ("rp", 20.0),
+                                       ("mrp", 3.0), ("tritpp", 20.0)])
+def test_draws_do_not_depend_on_first_width(monkeypatch, kind, rate):
+    """Row streams continue where they left off and the inverse is
+    prefix-stable, so any first width gives the same draws bit for bit."""
+    model = make_model(kind, horizon=10.0, seed=4, noise=0.2, rate_init=rate)
+    n0 = tpp._first_width(model)
+    for batch_size in (1, 7, 40):
+        ref = tpp.draw_extended(model, batch_size, seed=11)
+        for width in (1, 64, 4 * n0):
+            monkeypatch.setattr(tpp, "_first_width", lambda m, w=width: w)
+            t_ext, z = tpp.draw_extended(model, batch_size, seed=11)
+            assert np.array_equal(t_ext, ref[0]) and np.array_equal(z, ref[1]), (batch_size, width)
+        monkeypatch.undo()
 
 
 def test_time_rescaling_identity_tritpp():
