@@ -5,7 +5,7 @@ Submodules:
   splines     monotone rational quadratic splines
   transforms  invertible layer chain (forward / inverse / VJP)
   tpp         log densities, inversion sampling, relaxed masks, entropy
-  models      model factory, checkpoints, Hawkes baseline
+  models      model factory, checkpoints
   train       Adam, full-batch MLE, gradient checker
   metrics     counting distance, MMD, Wasserstein over lengths, KS
   mjp         Markov-modulated Poisson processes: ELBO, VI, Gibbs sampler

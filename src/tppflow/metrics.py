@@ -6,8 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
-from .seqdata import EventSequence
+from .seqdata import EventSequence, pad_batch
 
 __all__ = [
     "MmdConfig",
@@ -46,18 +47,11 @@ def counting_distance(t: EventSequence, u: EventSequence, horizon: float | None 
 def distance_matrix(setA: list[EventSequence], setB: list[EventSequence]) -> np.ndarray:
     """All pairwise counting distances.
 
-    Padding both sets with T makes the distance an elementwise L1 norm of the
-    padded rows, which vectorizes the whole matrix.
+    Padding both sets with T to one width makes the distance the L1 norm of
+    the difference of two padded rows.
     """
-    horizon = setA[0].horizon
-    width = max(max(len(s) for s in setA), max(len(s) for s in setB), 1)
-    a = np.full((len(setA), width), horizon)
-    b = np.full((len(setB), width), horizon)
-    for r, s in enumerate(setA):
-        a[r, :len(s)] = s.times
-    for r, s in enumerate(setB):
-        b[r, :len(s)] = s.times
-    return np.abs(a[:, None, :] - b[None, :, :]).sum(axis=2)
+    rows = pad_batch(setA + setB).times
+    return cdist(rows[:len(setA)], rows[len(setA):], "cityblock")
 
 
 def mmd(setA: list[EventSequence], setB: list[EventSequence],

@@ -417,7 +417,6 @@ def elbo_relaxed(q_model: TppModel, params: MmppParams, obs: np.ndarray, n_sampl
     else:
         t3 = np.zeros(s)
         t6 = -_xlogx(mu[:, 0]).sum(axis=1)
-    mask = paths.hard_mask if hard else paths.soft_mask
     log_q = tpp.path_log_density(paths, relaxed=not hard)
     per_sample = t1 + t2 + t3 + t4 + t5 + t6 - log_q
     value = float(per_sample.mean())
@@ -473,16 +472,15 @@ def elbo_relaxed(q_model: TppModel, params: MmppParams, obs: np.ndarray, n_sampl
         g_b += g_sb * sbp
     g_tclip = g_b[:, 1:] * inv_s
 
-    g_text = None
-    g_jext = -(mask * inv_s)
+    g_mask = None
+    g_jext = -(gates * inv_s)
     g_zbar = np.zeros((s, n))
     g_zbar[:, -1] = inv_s
     if not hard:
-        c_mask = -paths.jext.copy()
-        c_mask[:, :n - 1] += gate_cot
-        sig_d = -mask * (1.0 - mask) / gamma
-        g_text = c_mask * sig_d * inv_s
-    grad_q = tpp.path_gradients(paths, g_text=g_text, g_tclip=g_tclip,
+        g_mask = -paths.jext.copy()
+        g_mask[:, :n - 1] += gate_cot
+        g_mask *= inv_s
+    grad_q = tpp.path_gradients(paths, g_mask=g_mask, g_tclip=g_tclip,
                                 g_jext=g_jext, g_zbar=g_zbar)
     return ElboEstimate(value, grad_q, grad_pi, grad_a, grad_lam, per_sample)
 

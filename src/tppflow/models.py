@@ -1,5 +1,5 @@
-"""Model factory: the layer chains of the supported process families, plus a
-sequential Hawkes baseline with exponential kernel."""
+"""Model factory: the layer chains of the supported process families and
+versioned JSON checkpoints."""
 from __future__ import annotations
 
 import json
@@ -8,8 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transforms as tr
-from .rng import stream
-from .seqdata import EventSequence
 from .tpp import TppModel
 
 __all__ = [
@@ -17,11 +15,6 @@ __all__ = [
     "build_model",
     "save_checkpoint",
     "load_checkpoint",
-    "HawkesExpParams",
-    "hawkes_log_prob",
-    "hawkes_compensator",
-    "hawkes_rescaled_gaps",
-    "hawkes_sample",
 ]
 
 KINDS = ("hpp", "ipp", "rp", "mrp", "tritpp")
@@ -134,91 +127,3 @@ def load_checkpoint(path):
     kind = ModelKind.from_dict(rec["model_kind"]) if rec.get("model_kind") else None
     return model, kind, rec.get("extra", {})
 
-
-# ---------------------------------------------------------------------------
-# Hawkes process with exponential kernel (sequential baseline)
-
-
-@dataclass(frozen=True)
-class HawkesExpParams:
-    """Intensity mu + alpha * sum_j exp(-beta (t - t_j)) over past events."""
-
-    mu: float
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError(f"mu must be > 0, got {self.mu}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if self.beta <= 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
-
-
-def _event_intensities(params: HawkesExpParams, times: np.ndarray) -> np.ndarray:
-    """lambda*(t_i) via the O(N) Markov recursion of the exponential kernel."""
-    lam = np.empty(times.size)
-    s = 0.0
-    prev = 0.0
-    for i, t in enumerate(times):
-        s = s * np.exp(-params.beta * (t - prev))
-        lam[i] = params.mu + s
-        s += params.alpha
-        prev = t
-    return lam
-
-
-def hawkes_compensator(params: HawkesExpParams, times: np.ndarray, horizon: float) -> float:
-    return params.mu * horizon + (params.alpha / params.beta) * float(
-        (1.0 - np.exp(-params.beta * (horizon - times))).sum())
-
-
-def hawkes_log_prob(params: HawkesExpParams, sequence: EventSequence) -> float:
-    """Exact log density: sum log lambda*(t_i) - integral of lambda*."""
-    lam = _event_intensities(params, sequence.times)
-    return float(np.log(lam).sum()) - hawkes_compensator(params, sequence.times, sequence.horizon)
-
-
-def hawkes_rescaled_gaps(params: HawkesExpParams, sequence: EventSequence) -> np.ndarray:
-    """Compensator increments between consecutive events (O(N) recursion).
-
-    Under the model these are iid unit exponentials.
-    """
-    out = np.empty(len(sequence))
-    s_plus = 0.0   # excitation just after the previous event
-    prev = 0.0
-    for i, t in enumerate(sequence.times):
-        delta = t - prev
-        decay = np.exp(-params.beta * delta)
-        out[i] = params.mu * delta + (s_plus / params.beta) * (1.0 - decay)
-        s_plus = s_plus * decay + params.alpha
-        prev = t
-    return out
-
-
-def hawkes_sample(params: HawkesExpParams, horizon: float, seed: int) -> EventSequence:
-    """Exact simulation by Ogata thinning.
-
-    Between events the intensity only decays, so mu + s at the current time
-    is a valid piecewise-constant bound that is refreshed after every
-    candidate (accepted or rejected).
-    """
-    if params.alpha >= params.beta:
-        raise ValueError(
-            f"need alpha < beta for a subcritical process, got {params.alpha} >= {params.beta}")
-    rng = stream(seed, 3)
-    t = 0.0
-    s = 0.0   # excitation at the current time
-    events = []
-    while True:
-        bound = params.mu + s
-        w = rng.exponential(1.0 / bound)
-        t = t + w
-        if t > horizon:
-            break
-        s = s * np.exp(-params.beta * w)
-        if rng.uniform() * bound <= params.mu + s:
-            events.append(t)
-            s += params.alpha
-    return EventSequence(np.asarray(events), horizon)

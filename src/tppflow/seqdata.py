@@ -89,10 +89,6 @@ class PaddedBatch:
     def batch_size(self) -> int:
         return self.times.shape[0]
 
-    def lengths(self) -> np.ndarray:
-        """Number of true events per row (hard masks only)."""
-        return self.mask.sum(axis=1).astype(np.int64)
-
 
 @dataclass
 class DatasetSplit:

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import transforms as tr
 from .rng import row_streams
-from .seqdata import EventSequence, PaddedBatch
+from .seqdata import EventSequence, PaddedBatch, unpad_batch
 from .splines import sigmoid
 from .transforms import ChainCache, ParamStore, TransformSpec
 
@@ -64,11 +64,7 @@ class SampleBatch:
         return PaddedBatch(self.clipped, self.hard_mask, self.horizon)
 
     def to_sequences(self) -> list[EventSequence]:
-        out = []
-        for r in range(self.clipped.shape[0]):
-            n = int(self.hard_mask[r].sum())
-            out.append(EventSequence(self.clipped[r, :n].copy(), self.horizon))
-        return out
+        return unpad_batch(self.to_batch())
 
 
 def _append_horizon(batch: PaddedBatch):
@@ -234,6 +230,7 @@ class SamplePaths:
     clipped: np.ndarray
     hard_mask: np.ndarray
     soft_mask: np.ndarray | None
+    gamma: float | None       # temperature of soft_mask
     cache_ext: ChainCache     # forward at the extended times (log-Jacobian)
     cache_clip: ChainCache    # forward at the clipped times (compensator)
 
@@ -252,7 +249,7 @@ def prepare_paths(model: TppModel, t_ext, gamma: float | None) -> SamplePaths:
     soft = relaxed_mask(t_ext, model.horizon, gamma) if gamma is not None else None
     cache_ext = tr.compose_forward_cached(t_ext, model.spec, model.params, validate=False)
     cache_clip = tr.compose_forward_cached(clipped, model.spec, model.params, validate=False)
-    return SamplePaths(model, np.asarray(t_ext, dtype=np.float64), clipped, hard, soft,
+    return SamplePaths(model, np.asarray(t_ext, dtype=np.float64), clipped, hard, soft, gamma,
                        cache_ext, cache_clip)
 
 
@@ -262,16 +259,22 @@ def path_log_density(paths: SamplePaths, relaxed: bool) -> np.ndarray:
     return _row_log_density(m, paths.jext, paths.zbar)
 
 
-def path_gradients(paths: SamplePaths, g_text=None, g_tclip=None, g_jext=None, g_zbar=None):
+def path_gradients(paths: SamplePaths, g_mask=None, g_tclip=None, g_jext=None, g_zbar=None):
     """Parameter gradient of a scalar functional of a sample.
 
-    The caller supplies cotangents w.r.t. the extended times, the clipped
-    times, the extended log-Jacobian diagonal and the clipped forward map;
-    reparametrization through the inverse map is handled here.
+    The caller supplies cotangents w.r.t. the soft mask, the clipped times,
+    the extended log-Jacobian diagonal and the clipped forward map; the mask
+    derivative and reparametrization through the inverse map are handled
+    here.
     """
     shape = paths.t_ext.shape
     grad = np.zeros_like(paths.model.params.values)
-    g_t = np.zeros(shape) if g_text is None else np.array(g_text, dtype=np.float64, copy=True)
+    if g_mask is None:
+        g_t = np.zeros(shape)
+    else:
+        # d soft_mask / d t = -sigma'((T - t) / gamma) / gamma
+        s = paths.soft_mask
+        g_t = g_mask * (-s * (1.0 - s) / paths.gamma)
     g_clip_total = np.zeros(shape) if g_tclip is None else np.asarray(g_tclip, dtype=np.float64)
 
     if g_zbar is not None:
@@ -319,10 +322,6 @@ def entropy_estimate(model: TppModel, n_samples: int, gamma: float, seed: int = 
     g_jext = -m / b
     g_zbar = np.zeros_like(t_ext)
     g_zbar[:, -1] = 1.0 / b
-    g_text = None
-    if relaxed:
-        # d soft_mask / d t = -sigma' / gamma
-        s = paths.soft_mask
-        g_text = -(-s * (1.0 - s) / gamma) * paths.jext / b
-    grad = path_gradients(paths, g_text=g_text, g_jext=g_jext, g_zbar=g_zbar)
+    g_mask = -paths.jext / b if relaxed else None
+    grad = path_gradients(paths, g_mask=g_mask, g_jext=g_jext, g_zbar=g_zbar)
     return value, grad

@@ -98,9 +98,6 @@ class Spline:
     def n_params(self) -> int:
         return self.rqs.n_params
 
-    def init_params(self):
-        return np.zeros(self.n_params)
-
     def forward(self, x, p):
         return sp.forward(self.rqs, p, x)
 
@@ -112,9 +109,6 @@ class Spline:
 
     def inv_jac_t(self, x, p, w, res=None):
         return sp.inv_jac_t(self.rqs, p, x, w, res=res)
-
-    def validate(self, x):
-        pass  # total map thanks to the linear tails
 
 
 @dataclass(frozen=True)
@@ -143,9 +137,6 @@ class BlockDiag:
     def n_params(self) -> int:
         h = self.size
         return h * (h + 1) // 2
-
-    def init_params(self):
-        return np.zeros(self.n_params)
 
     def matrix(self, p) -> np.ndarray:
         h = self.size
@@ -207,9 +198,6 @@ class BlockDiag:
         n = w.shape[-1]
         return u.reshape(w.shape[:-1] + (-1,))[..., left:left + n]
 
-    def validate(self, x):
-        pass
-
 
 @dataclass(frozen=True)
 class Scale:
@@ -220,9 +208,6 @@ class Scale:
     force_fwd = True
     force_inv = True
     n_params = 1
-
-    def init_params(self):
-        return np.zeros(1)
 
     def forward(self, x, p):
         s = np.exp(p[0])
@@ -238,9 +223,6 @@ class Scale:
 
     def inv_jac_t(self, x, p, w, res=None):
         return w * np.exp(-p[0])
-
-    def validate(self, x):
-        pass
 
 
 @dataclass(frozen=True)
@@ -270,17 +252,16 @@ class FixedScale:
     def inv_jac_t(self, x, p, w, res=None):
         return w / self.value
 
-    def validate(self, x):
-        pass
-
 
 @dataclass(frozen=True)
 class Bridge:
     """Fixed elementwise domain bridge: psi, psi_inv, sigmoid or logit.
 
     psi(x) = 1 - exp(-x) takes R+ to (0,1); logit/sigmoid move between (0,1)
-    and R.  Inputs of psi_inv and logit are clamped to
-    [CLAMP, 1 - CLAMP] to absorb round-off at the domain edges.
+    and R.  ``forward`` raises :class:`DomainError` when an input of psi,
+    psi_inv or logit leaves its domain by more than 1e-9; within that slack,
+    inputs of psi_inv and logit are clamped to [CLAMP, 1 - CLAMP] to absorb
+    round-off at the domain edges.
     """
 
     kind: str
@@ -303,18 +284,23 @@ class Bridge:
     def forward(self, x, p):
         k = self.kind
         if k == "psi":
+            if x.size and float(x.min()) < -1e-9:
+                raise DomainError("psi", f"input must be >= 0, min was {float(x.min()):g}")
             return -np.expm1(-x), -x, None
-        if k == "psi_inv":
-            xc = np.clip(x, CLAMP, 1.0 - CLAMP)
-            y = -np.log1p(-xc)
-            return y, y, None
         if k == "sigmoid":
             # log sigmoid'(x) = log s + log(1 - s), free of cancellation;
             # s is also the record that vjp and inv_jac_t read
             ax = np.abs(x)
             s = sigmoid(x)
             return s, -ax - 2.0 * np.log1p(np.exp(-ax)), s
+        if x.size:
+            lo, hi = float(x.min()), float(x.max())
+            if lo < -1e-9 or hi > 1.0 + 1e-9:
+                raise DomainError(k, f"input must lie in (0, 1), range was [{lo:g}, {hi:g}]")
         xc = np.clip(x, CLAMP, 1.0 - CLAMP)
+        if k == "psi_inv":
+            y = -np.log1p(-xc)
+            return y, y, None
         log_x, log_1mx = np.log(xc), np.log1p(-xc)
         return log_x - log_1mx, -log_x - log_1mx, None
 
@@ -355,15 +341,6 @@ class Bridge:
         xc = np.clip(x, CLAMP, 1.0 - CLAMP)
         return w * xc * (1.0 - xc)
 
-    def validate(self, x):
-        k = self.kind
-        if k == "psi" and x.size and float(x.min()) < -1e-9:
-            raise DomainError("psi", f"input must be >= 0, min was {float(x.min()):g}")
-        if k in ("psi_inv", "logit") and x.size:
-            lo, hi = float(x.min()), float(x.max())
-            if lo < -1e-9 or hi > 1.0 + 1e-9:
-                raise DomainError(k, f"input must lie in (0, 1), range was [{lo:g}, {hi:g}]")
-
 
 @dataclass(frozen=True)
 class Cumsum:
@@ -385,9 +362,6 @@ class Cumsum:
 
     def inv_jac_t(self, x, p, w, res=None):
         return _diff_t(w)
-
-    def validate(self, x):
-        pass
 
 
 @dataclass(frozen=True)
@@ -411,9 +385,6 @@ class Diff:
     def inv_jac_t(self, x, p, w, res=None):
         return reversed_cumsum(w)
 
-    def validate(self, x):
-        pass
-
 
 # ---------------------------------------------------------------------------
 # parameter store and transform spec
@@ -432,9 +403,6 @@ class ParamStore:
 
     def copy(self) -> "ParamStore":
         return ParamStore(self.names, dict(self.slices), self.values.copy())
-
-    def zeros_like(self) -> np.ndarray:
-        return np.zeros_like(self.values)
 
     @property
     def size(self) -> int:
@@ -481,18 +449,15 @@ class TransformSpec:
 
 def build_param_store(spec: TransformSpec) -> ParamStore:
     """Identity-initialized flat parameters for a chain."""
-    names, slices, chunks = [], {}, []
+    names, slices = [], {}
     pos = 0
     for layer in spec.layers:
         if layer.n_params == 0:
             continue
-        init = layer.init_params()
         names.append(layer.name)
-        slices[layer.name] = slice(pos, pos + init.size)
-        chunks.append(init)
-        pos += init.size
-    values = np.concatenate(chunks) if chunks else np.zeros(0)
-    return ParamStore(tuple(names), slices, values)
+        slices[layer.name] = slice(pos, pos + layer.n_params)
+        pos += layer.n_params
+    return ParamStore(tuple(names), slices, np.zeros(pos))
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +502,6 @@ def _run_forward(times, spec, store, validate, keep=False):
     inputs, residuals, pins = [], [], []
     pin = None
     for layer in spec.layers:
-        layer.validate(x)
         p = _params_of(layer, store)
         y, ld, res = layer.forward(x, p)
         if isinstance(layer, Diff):

@@ -5,6 +5,7 @@ from conftest import make_model, random_batch
 from tppflow import tpp
 from tppflow import transforms as tr
 from tppflow.metrics import ks_exp1
+from tppflow.models import ModelKind, build_model
 from tppflow.seqdata import EventSequence, PaddedBatch, pad_batch
 
 
@@ -223,3 +224,44 @@ def test_entropy_validation():
         tpp.entropy_estimate(model, 0, gamma=0.1)
     with pytest.raises(ValueError):
         tpp.entropy_estimate(model, 1, gamma=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# inversion accuracy: open defects, listed in ROADMAP.md. The chain loses
+# precision through logit(sigmoid(x)) once |x| passes ~20. Both tests fail
+# until that is fixed; strict xfail then reports them as failures, and the
+# marks must be lifted.
+
+
+def _shifted_model(kind, scale):
+    """Identity model with every parameter shifted by scale * N(0, 1) (seed 0)."""
+    model = build_model(kind)
+    model.params.values += scale * np.random.default_rng(0).normal(size=model.params.size)
+    return model
+
+
+def _roundtrip_error(model, t):
+    z, _ = tr.compose_forward(t, model.spec, model.params)
+    return float(np.abs(tr.compose_inverse(z, model.spec, model.params) - t).max())
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="round trip of long rows misses 1e-8 (4.4e-6 at 3040 columns)")
+def test_roundtrip_long_rows():
+    model = _shifted_model(ModelKind("tritpp", 437.0, n_knots=20, block_size=16, n_blocks=4,
+                                     rate_init=14.0), 0.2)
+    t = tpp.draw_extended(model, 10, seed=0)[0]
+    assert _roundtrip_error(model, t) <= 1e-8
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="saturated logits invert wrongly without an error")
+def test_roundtrip_fails_loudly():
+    model = _shifted_model(ModelKind("tritpp", 10.0, n_knots=10, block_size=8, n_blocks=2,
+                                     rate_init=1.0), 1.0)
+    try:
+        t = tpp.draw_extended(model, 5, seed=3)[0]
+        err = _roundtrip_error(model, t)
+    except tr.DomainError:
+        return
+    assert err <= 1e-8

@@ -89,11 +89,11 @@ def test_bridge_inverse_pairs(rng):
 
 def test_bridge_domain_errors():
     with pytest.raises(tr.DomainError, match="psi"):
-        tr.Bridge("psi").validate(np.array([-0.5]))
+        tr.Bridge("psi").forward(np.array([-0.5]), None)
     with pytest.raises(tr.DomainError, match="psi_inv"):
-        tr.Bridge("psi_inv").validate(np.array([1.5]))
+        tr.Bridge("psi_inv").forward(np.array([1.5]), None)
     with pytest.raises(tr.DomainError, match="logit"):
-        tr.Bridge("logit").validate(np.array([-0.2]))
+        tr.Bridge("logit").forward(np.array([-0.2]), None)
     with pytest.raises(ValueError):
         tr.FixedScale(-1.0)
     with pytest.raises(ValueError):
