@@ -116,7 +116,6 @@ def cmd_train(cfg: RunConfig, seed: int, out: str) -> int:
         max_epochs=cfg.get_int("train.epochs", 5000),
         plateau_patience=cfg.get_int("train.plateau", 100),
         early_stop_patience=cfg.get_int("train.early_stop", 300),
-        seed=seed,
     )
     result = fit_mle(model, split, tc)
 

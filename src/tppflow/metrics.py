@@ -31,17 +31,15 @@ class MmdConfig:
             raise ValueError(f"fixed sigma must be > 0, got {self.sigma}")
 
 
-def counting_distance(t: EventSequence, u: EventSequence, horizon: float | None = None) -> float:
+def counting_distance(t: EventSequence, u: EventSequence) -> float:
     """sum_i |t_i - u_i| over shared indices plus (T - u_i) for the extras."""
-    if horizon is None:
-        horizon = t.horizon
-    if t.horizon != u.horizon or t.horizon != horizon:
+    if t.horizon != u.horizon:
         raise ValueError("sequences must share the horizon of the comparison")
     a, b = t.times, u.times
     if a.size > b.size:
         a, b = b, a
     n = a.size
-    return float(np.abs(a - b[:n]).sum() + (horizon - b[n:]).sum())
+    return float(np.abs(a - b[:n]).sum() + (t.horizon - b[n:]).sum())
 
 
 def distance_matrix(setA: list[EventSequence], setB: list[EventSequence]) -> np.ndarray:

@@ -46,18 +46,14 @@ class SampleBatch:
     """Inversion-sampling output.
 
     ``extended`` holds raw inverse-map times (last column of every row is
-    >= horizon), ``clipped`` is min(extended, horizon), ``hard_mask`` flags
-    events strictly before the horizon and ``soft_mask`` is the sigmoid
-    relaxation at temperature gamma (None unless requested).  ``zbar`` is the
-    forward map of the clipped rows, so ``zbar[:, -1]`` is the cumulative
-    intensity at the horizon.
+    >= horizon), ``clipped`` is min(extended, horizon) and ``hard_mask`` flags
+    events strictly before the horizon.  Relaxed masks and the compensator
+    at the horizon come from :func:`prepare_paths`.
     """
 
     extended: np.ndarray
     clipped: np.ndarray
     hard_mask: np.ndarray
-    soft_mask: np.ndarray | None
-    zbar: np.ndarray
     horizon: float
 
     def to_batch(self) -> PaddedBatch:
@@ -169,23 +165,18 @@ def draw_extended(model: TppModel, batch_size: int, seed: int):
     return t_ext[:, :keep], z[:, :keep]
 
 
-def sample(model: TppModel, batch_size: int, seed: int,
-           gamma: float | None = None) -> SampleBatch:
+def sample(model: TppModel, batch_size: int, seed: int) -> SampleBatch:
     """Draw sequences by parallel inversion of unit-rate Poisson noise."""
     t_ext, _ = draw_extended(model, batch_size, seed)
-    return _finish_sample(model, t_ext, gamma)
+    return _finish_sample(model, t_ext)
 
 
-def _finish_sample(model: TppModel, t_ext, gamma):
-    clipped = np.minimum(t_ext, model.horizon)
-    hard = (t_ext < model.horizon).astype(np.float64)
-    soft = relaxed_mask(t_ext, model.horizon, gamma) if gamma is not None else None
-    zbar, _ = tr.compose_forward(clipped, model.spec, model.params, validate=False)
-    return SampleBatch(t_ext, clipped, hard, soft, zbar, model.horizon)
+def _finish_sample(model: TppModel, t_ext) -> SampleBatch:
+    return SampleBatch(t_ext, np.minimum(t_ext, model.horizon),
+                       (t_ext < model.horizon).astype(np.float64), model.horizon)
 
 
-def sequential_sample(model: TppModel, batch_size: int, seed: int,
-                      gamma: float | None = None) -> SampleBatch:
+def sequential_sample(model: TppModel, batch_size: int, seed: int) -> SampleBatch:
     """One-event-at-a-time inversion sampler (autoregressive baseline).
 
     Distributionally identical to :func:`sample`; exists so the benchmark can
@@ -207,7 +198,7 @@ def sequential_sample(model: TppModel, batch_size: int, seed: int,
         t_last = np.maximum(t_last, t_col)
     t_ext = np.stack(cols, axis=1)
     keep = int((t_ext < model.horizon).sum(axis=1).max()) + 1
-    return _finish_sample(model, t_ext[:, :keep], gamma)
+    return _finish_sample(model, t_ext[:, :keep])
 
 
 def relaxed_mask(extended_times, horizon: float, gamma: float) -> np.ndarray:

@@ -33,7 +33,6 @@ class TrainConfig:
     max_epochs: int = 5000
     plateau_patience: int = 100
     early_stop_patience: int = 300
-    seed: int = 0
 
     def __post_init__(self):
         if self.lr <= 0 or self.max_epochs < 1:

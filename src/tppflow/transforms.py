@@ -40,7 +40,6 @@ __all__ = [
     "compose_forward",
     "compose_forward_cached",
     "compose_inverse",
-    "chain_vjp",
     "chain_vjp_cached",
     "inverse_jac_t_apply",
     "SequentialInverter",
@@ -591,17 +590,12 @@ def chain_vjp_cached(cache: ChainCache, cot_z, cot_logdiag):
     return grad, g
 
 
-def chain_vjp(batch_times, spec, store, cot_z, cot_logdiag, validate: bool = True):
-    """Gradients of ``sum(cot_z * z) + sum(cot_logdiag * logdiag)``."""
-    cache = compose_forward_cached(batch_times, spec, store, validate)
-    return chain_vjp_cached(cache, cot_z, cot_logdiag)
-
-
 def inverse_jac_t_apply(cache: ChainCache, w):
     """Apply the inverse transposed chain Jacobian to a times-cotangent.
 
     Used for reparametrized sampling gradients: for a loss L(t) with
-    t = F^{-1}(z), ``grad_params = -chain_vjp(cot_z=u)`` where
+    t = F^{-1}(z), ``grad_params`` is minus the parameter gradient of
+    ``chain_vjp_cached`` at ``cot_z = u``, ``cot_logdiag = 0``, where
     ``u = J_F^{-T} dL/dt``.  Only valid for caches without pinned positions.
     """
     if any(p is not None for p in cache.pins):

@@ -197,7 +197,7 @@ def test_acceptance_07_mle_recovery():
     data = simulate_hpp(2.0, 10.0, 400, seed=71)
     split = split_dataset(data, seed=71)
     hpp = build_model(ModelKind("hpp", 10.0, rate_init=1.0))
-    result = fit_mle(hpp, split, TrainConfig(lr=0.05, max_epochs=3000, seed=0))
+    result = fit_mle(hpp, split, TrainConfig(lr=0.05, max_epochs=3000))
     events = sum(len(s) for s in split.train)
     mle = events / (len(split.train) * 10.0)
     rate_hat = float(np.exp(result.model.params.view("rate")[0]))
@@ -205,7 +205,7 @@ def test_acceptance_07_mle_recovery():
 
     tri = build_model(ModelKind("tritpp", 10.0, n_knots=10, block_size=4, n_blocks=2,
                                 rate_init=1.0))
-    cfg = TrainConfig(lr=0.01, l2=1e-5, max_epochs=1500, seed=0)
+    cfg = TrainConfig(lr=0.01, l2=1e-5, max_epochs=1500)
     result_tri = fit_mle(tri, split, cfg)
     train_batch = pad_batch(split.train)
     n_avg = float(train_batch.mask.sum() / train_batch.batch_size)

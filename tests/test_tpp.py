@@ -72,16 +72,17 @@ def test_log_prob_matches_quadrature_assembly(rng):
     assert lp == pytest.approx(log_int - comp, abs=1e-5)
 
 
-def test_sample_clipping_layout():
+@pytest.mark.parametrize("sampler", [tpp.sample, tpp.sequential_sample],
+                         ids=["sample", "sequential_sample"])
+def test_sample_clipping_layout(sampler):
     clipped = np.minimum(np.array([0.8, 2.0, 4.5, 5.1]), 3.0)
     assert np.array_equal(clipped, [0.8, 2.0, 3.0, 3.0])
     model = make_model("hpp", horizon=3.0, noise=0.0, rate_init=1.0)
-    sb = tpp.sample(model, 8, seed=0, gamma=0.1)
+    sb = sampler(model, 8, seed=0)
     assert np.array_equal(sb.clipped, np.minimum(sb.extended, 3.0))
     assert np.array_equal(sb.hard_mask, (sb.extended < 3.0).astype(float))
     assert np.all(sb.extended[:, -1] >= 3.0)
     assert np.all(np.diff(sb.hard_mask, axis=1) <= 0)
-    np.testing.assert_allclose(sb.soft_mask, 1 / (1 + np.exp(-(3.0 - sb.extended) / 0.1)))
     batch = sb.to_batch()
     assert batch.horizon == 3.0
 
@@ -93,17 +94,25 @@ def test_sample_count_statistics():
     assert abs(mean - 30.0) < 3.0 * np.sqrt(30.0 / 10_000)
 
 
-def test_sample_zbar_is_clipped_forward():
+def test_samplers_run_no_forward_pass(monkeypatch):
+    """A sample is built from the inverse chain alone."""
     model = make_model("mrp", horizon=10.0, seed=2, noise=0.3)
-    sb = tpp.sample(model, 6, seed=1)
-    z, _ = tr.compose_forward(sb.clipped, model.spec, model.params, validate=False)
-    assert np.array_equal(sb.zbar, z)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a sampler ran the forward chain")
+
+    monkeypatch.setattr(tr, "_run_forward", forbidden)
+    for sampler in (tpp.sample, tpp.sequential_sample):
+        sb = sampler(model, 6, seed=1)
+        assert sb.extended.shape == sb.clipped.shape == sb.hard_mask.shape
 
 
 def test_sample_validation():
     model = make_model("hpp", horizon=10.0, noise=0.0)
     with pytest.raises(ValueError):
         tpp.sample(model, 0, seed=0)
+    with pytest.raises(ValueError):
+        tpp.sequential_sample(model, 0, seed=0)
 
 
 def test_count_estimate_sizes_one_draw(monkeypatch):

@@ -42,7 +42,7 @@ def _hpp_split(rate, horizon, n, seed):
 def test_fit_mle_hpp_recovers_closed_form():
     split = _hpp_split(2.0, 10.0, 300, seed=1)
     model = build_model(ModelKind("hpp", 10.0, rate_init=1.0))
-    result = fit_mle(model, split, TrainConfig(lr=0.05, max_epochs=2000, seed=0))
+    result = fit_mle(model, split, TrainConfig(lr=0.05, max_epochs=2000))
     events = sum(len(s) for s in split.train)
     mle = events / (len(split.train) * 10.0)
     fitted = float(np.exp(result.model.params.view("rate")[0]))
@@ -53,7 +53,7 @@ def test_fit_mle_first_epoch_is_identity_hpp_loss():
     split = _hpp_split(2.0, 10.0, 60, seed=2)
     tri = build_model(ModelKind("tritpp", 10.0, rate_init=1.0, block_size=4))
     hpp = build_model(ModelKind("hpp", 10.0, rate_init=1.0))
-    cfg = TrainConfig(lr=0.01, max_epochs=2, seed=0)
+    cfg = TrainConfig(lr=0.01, max_epochs=2)
     h_tri = fit_mle(tri, split, cfg).history
     h_hpp = fit_mle(hpp, split, cfg).history
     assert h_tri[0][1] == pytest.approx(h_hpp[0][1], abs=1e-12)
@@ -63,7 +63,7 @@ def test_fit_mle_train_loss_windowed_descent():
     split = _hpp_split(2.0, 10.0, 100, seed=3)
     model = build_model(ModelKind("hpp", 10.0, rate_init=0.5))
     result = fit_mle(model, split, TrainConfig(lr=0.02, max_epochs=900,
-                                               early_stop_patience=900, seed=0))
+                                               early_stop_patience=900))
     losses = np.array([row[1] for row in result.history])
     assert losses.size >= 400
     window = 200
@@ -72,7 +72,7 @@ def test_fit_mle_train_loss_windowed_descent():
 
 def test_fit_mle_reproducible_bitwise():
     split = _hpp_split(1.5, 10.0, 80, seed=4)
-    cfg = TrainConfig(lr=0.02, max_epochs=120, seed=7)
+    cfg = TrainConfig(lr=0.02, max_epochs=120)
     a = fit_mle(build_model(ModelKind("mrp", 10.0)), split, cfg)
     b = fit_mle(build_model(ModelKind("mrp", 10.0)), split, cfg)
     assert np.array_equal(a.model.params.values, b.model.params.values)

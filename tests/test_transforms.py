@@ -298,8 +298,8 @@ def test_chain_vjp_zero_cotangents(rng):
     model = make_model("tritpp", horizon=10.0, seed=4, noise=0.5)
     batch = random_batch(rng, 2, 10.0)
     times, _ = _append_horizon(batch)
-    g, gt = tr.chain_vjp(times, model.spec, model.params,
-                         np.zeros_like(times), np.zeros_like(times))
+    cache = tr.compose_forward_cached(times, model.spec, model.params)
+    g, gt = tr.chain_vjp_cached(cache, np.zeros_like(times), np.zeros_like(times))
     assert np.array_equal(g, np.zeros_like(g))
     assert np.array_equal(gt, np.zeros_like(gt))
 
@@ -310,7 +310,8 @@ def test_chain_vjp_hpp_score():
     times, mask = _append_horizon(batch)
     cot_z = np.zeros_like(times)
     cot_z[:, -1] = -1.0
-    g, _ = tr.chain_vjp(times, model.spec, model.params, cot_z, mask)
+    g, _ = tr.chain_vjp_cached(tr.compose_forward_cached(times, model.spec, model.params),
+                               cot_z, mask)
     # d log p / d log(rate) = N - rate * T summed over rows
     n_total = mask.sum()
     expected = n_total - 2.0 * 10.0 * 3
@@ -324,7 +325,8 @@ def test_chain_vjp_matches_finite_differences(rng, kind):
     times, _ = _append_horizon(batch)
     cot_z = rng.normal(0, 1, times.shape)
     cot_ld = rng.normal(0, 1, times.shape)
-    g, _ = tr.chain_vjp(times, model.spec, model.params, cot_z, cot_ld)
+    g, _ = tr.chain_vjp_cached(tr.compose_forward_cached(times, model.spec, model.params),
+                               cot_z, cot_ld)
 
     def objective(values):
         store = tr.ParamStore(model.params.names, model.params.slices, values)
@@ -359,7 +361,7 @@ def test_chain_vjp_padded_batch_in_spline_tails(rng):
 
     cot_z = rng.normal(0, 1, times.shape)
     cot_ld = rng.normal(0, 1, times.shape)
-    g, g_t = tr.chain_vjp(times, model.spec, model.params, cot_z, cot_ld)
+    g, g_t = tr.chain_vjp_cached(cache, cot_z, cot_ld)
 
     def objective(values, t=times):
         store = tr.ParamStore(model.params.names, model.params.slices, values)
