@@ -157,6 +157,16 @@ def obs_log_prob(obs: np.ndarray, traj: Trajectory, lam: np.ndarray) -> float:
 # forward-backward over segments (batched, with skip steps), plus its VJP
 
 
+def _checked_obs(obs, horizon):
+    """Observation times as a flat float array; each must lie in [0, horizon]."""
+    obs = np.asarray(obs, dtype=np.float64).reshape(-1)
+    bad = ~((obs >= 0) & (obs <= horizon))
+    if bad.any():
+        raise ValueError(f"observations must be finite and lie in [0, {horizon}], "
+                         f"got {float(obs[bad][0])}")
+    return obs
+
+
 def _segment_potentials(obs, boundaries, params):
     """phi[s, i, k] = -delta_i (A_k + lam_k) + count_i log lam_k.
 
@@ -181,98 +191,106 @@ def _lse(a, axis):
 
 
 def _fb_forward(log_pi, log_a, phi, real):
-    """Log-space forward-backward with per-step skip masks.
+    """Scaled forward-backward (Rabiner 1989) in probability space, with
+    per-step skip masks.
 
     ``real[s, i]`` marks whether transition i (state i -> i+1) exists; a
     skipped step copies the state, so the chain behaves as if the fake
-    segments were never there.
+    segments were never there.  With P = exp(log_a) and
+    E_i = exp(phi_i - max_k phi_ik) (log_pi folded into phi_0), step i forms
+    a_i = (a_{i-1} P) E_i, or a_{i-1} E_i on a skip, and divides it by
+    c_i = sum_k a_ik; the backward pass mirrors it with P.T and the same
+    c_i.  Then log Z = sum_i log c_i + sum_i max_k phi_ik, mu_i = a_i b_i and
+    xi_i = a_i (x) P (x) E_{i+1} b_{i+1} / c_{i+1}, with the identity in
+    place of P on a skip, which makes xi_i = diag(mu_i).
+
+    The recursion runs step-major, on (N, K, S) arrays.  Returns the
+    marginals (S, N, K) and pairwise marginals (S, N-1, K, K) as views of
+    them, log Z (S,) and the tape that ``_fb_vjp`` reads.
     """
     s, n, k = phi.shape
-    alpha = np.empty((s, n, k))
-    beta = np.empty((s, n, k))
-    alpha[:, 0] = log_pi[None, :] + phi[:, 0]
-    for i in range(1, n):
-        prop = _lse(alpha[:, i - 1, :, None] + log_a[None, :, :], axis=1)
-        keep = real[:, i - 1][:, None]
-        alpha[:, i] = np.where(keep, prop, alpha[:, i - 1]) + phi[:, i]
-    log_z = _lse(alpha[:, n - 1], axis=1)
-    beta[:, n - 1] = 0.0
+    e = phi.transpose(1, 2, 0).copy()
+    e[0] += log_pi[:, None]
+    top = e.max(axis=1)
+    e -= top[:, None]
+    np.exp(e, out=e)
+    real = real.T
+    p = np.exp(log_a)
+    alpha = np.empty((n, k, s))
+    c = np.empty((n, s))
+    x = e[0]
+    for i in range(n):
+        if i:
+            x = np.where(real[i - 1], p.T @ alpha[i - 1], alpha[i - 1])
+            x *= e[i]
+        c[i] = x.sum(axis=0)
+        np.divide(x, c[i], out=alpha[i])
+    # backward pass: v[i] = E_{i+1} b_{i+1} / c_{i+1} takes the place of E_{i+1}
+    v = e[1:]
+    mu = np.empty((n, k, s))
+    mu[n - 1] = alpha[n - 1]
+    b = 1.0
     for i in range(n - 2, -1, -1):
-        c = phi[:, i + 1] + beta[:, i + 1]
-        prop = _lse(log_a[None, :, :] + c[:, None, :], axis=2)
-        keep = real[:, i][:, None]
-        beta[:, i] = np.where(keep, prop, c)
-    mu = np.exp(alpha + beta - log_z[:, None, None])
-    if n > 1:
-        c_all = phi[:, 1:] + beta[:, 1:]
-        xi = np.exp(alpha[:, :-1, :, None] + log_a[None, None, :, :]
-                    + c_all[:, :, None, :] - log_z[:, None, None, None])
-        fake = ~real
-        if fake.any():
-            diag = np.zeros_like(xi[fake])
-            diag[:, np.arange(k), np.arange(k)] = mu[:, :-1][fake]
-            xi[fake] = diag
-    else:
-        xi = np.zeros((s, 0, k, k))
-    return alpha, beta, mu, xi, log_z
+        v[i] *= b
+        v[i] /= c[i + 1]
+        b = np.where(real[i], p @ v[i], v[i])
+        np.multiply(alpha[i], b, out=mu[i])
+    log_z = np.log(c).sum(axis=0) + top.sum(axis=0)
+    xi = alpha[:-1, :, None] * v[:, None]
+    xi *= p[:, :, None]
+    # a skip's pairwise is diag(mu_i): its off-diagonal is 0
+    xi *= real[:, None, None]
+    diag = np.arange(k)
+    xi[:, diag, diag] += np.where(real[:, None], 0.0, mu[:-1])
+    tape = (real, p, alpha, v, mu, xi)
+    return mu.transpose(2, 0, 1), xi.transpose(3, 0, 1, 2), log_z, tape
 
 
-def _fb_vjp(log_pi, log_a, phi, real, alpha, beta, mu, xi, log_z, g_mu, g_xi):
-    """Cotangents on (marginals, pairwise) back to (phi, log_pi, log_a)."""
-    s, n, k = phi.shape
-    g_alpha = np.zeros((s, n, k))
-    g_beta = np.zeros((s, n, k))
-    g_phi = np.zeros((s, n, k))
-    g_la = np.zeros((k, k))
-    g_lz = np.zeros(s)
-    g_mu_tot = np.array(g_mu, dtype=np.float64, copy=True)
+def _fb_vjp(tape, g_mu, g_xi):
+    """Cotangents on (marginals, pairwise) back to (phi, log_pi, log_a).
 
-    if n > 1:
-        fake = ~real
-        if fake.any():
-            # fake-step pairwise is diag(mu); move its cotangent onto mu
-            g_mu_tot[:, :-1][fake] += g_xi[fake][:, np.arange(k), np.arange(k)]
-        realf = real[:, :, None, None]
-        p = np.where(realf, g_xi * xi, 0.0)
-        g_alpha[:, :-1] += p.sum(axis=3)
-        g_la += p.sum(axis=(0, 1))
-        tail = p.sum(axis=2)
-        g_phi[:, 1:] += tail
-        g_beta[:, 1:] += tail
-        g_lz -= p.sum(axis=(1, 2, 3))
+    g_alpha and g_beta are the cotangents on the log-space forward and
+    backward variables.  Their step weights are ratios of the scaled
+    quantities: W[j, k] = P[j, k] v[k] / (P v)[j] reverses a backward step
+    and W[j, k] = a[j] P[j, k] / (a P)[k] a forward one, the identity on a
+    skip.  Each step is one (K, K) @ (K, S) product; the log_a cotangent is
+    one contraction per direction after its loop.
+    """
+    real, p, alpha, v, mu, xi = tape
+    n, k, s = alpha.shape
+    g_xi = g_xi.transpose(1, 2, 3, 0)
+    # a skip's pairwise is diag(mu); its cotangent moves onto mu
+    e = g_mu.transpose(1, 2, 0).copy()
+    e[:-1] += np.where(real[:, None], 0.0, np.einsum("ijjs->ijs", g_xi))
+    e *= mu
+    pw = g_xi * xi
+    pw *= real[:, None, None]
+    g_la = pw.sum(axis=(0, 3))
+    g_alpha = e.copy()
+    g_alpha[:-1] += pw.sum(axis=2)
+    g_beta = e.copy()
+    g_beta[1:] += pw.sum(axis=1)
+    # d log Z / d log alpha_{N-1} = a_{N-1}
+    g_alpha[n - 1] -= alpha[n - 1] * (e.sum(axis=(0, 1)) + pw.sum(axis=(0, 1, 2)))
+    del pw    # the loops' arrays can take its place
 
-    e = g_mu_tot * mu
-    g_alpha += e
-    g_beta += e
-    g_lz -= e.sum(axis=(1, 2))
+    # reverse of the backward recursion (computed descending, reversed ascending)
+    pv = p @ v
+    u = np.zeros((n - 1, k, s))
+    for i in range(n - 1):
+        np.divide(g_beta[i], pv[i], out=u[i], where=real[i])
+        g_beta[i + 1] += np.where(real[i], v[i] * (p.T @ u[i]), g_beta[i])
 
-    g_alpha[:, n - 1] += np.exp(alpha[:, n - 1] - log_z[:, None]) * g_lz[:, None]
-
-    # reverse of the beta recursion (computed descending, reversed ascending)
-    for i in range(0, n - 1):
-        c = phi[:, i + 1] + beta[:, i + 1]
-        w = np.exp(log_a[None, :, :] + c[:, None, :] - beta[:, i][:, :, None])
-        keep = real[:, i]
-        p = np.where(keep[:, None, None], g_beta[:, i][:, :, None] * w, 0.0)
-        g_la += p.sum(axis=0)
-        move = p.sum(axis=1)
-        skip = np.where(keep[:, None], 0.0, g_beta[:, i])
-        g_phi[:, i + 1] += move + skip
-        g_beta[:, i + 1] += move + skip
-
-    # reverse of the alpha recursion (computed ascending, reversed descending)
+    # reverse of the forward recursion (computed ascending, reversed descending)
+    pred = p.T @ alpha[:-1]
+    w = np.zeros((n - 1, k, s))
     for i in range(n - 1, 0, -1):
-        g_phi[:, i] += g_alpha[:, i]
-        w = np.exp(alpha[:, i - 1][:, :, None] + log_a[None, :, :]
-                   - (alpha[:, i] - phi[:, i])[:, None, :])
-        keep = real[:, i - 1]
-        p = np.where(keep[:, None, None], w * g_alpha[:, i][:, None, :], 0.0)
-        g_alpha[:, i - 1] += p.sum(axis=2) + np.where(keep[:, None], 0.0, g_alpha[:, i])
-        g_la += p.sum(axis=0)
+        np.divide(g_alpha[i], pred[i - 1], out=w[i - 1], where=real[i - 1])
+        g_alpha[i - 1] += np.where(real[i - 1], alpha[i - 1] * (p @ w[i - 1]), g_alpha[i])
 
-    g_phi[:, 0] += g_alpha[:, 0]
-    g_lp = g_alpha[:, 0].sum(axis=0)
-    return g_phi, g_lp, g_la
+    g_la += p * (np.einsum("ijs,iks->jk", u, v) + np.einsum("ijs,iks->jk", alpha[:-1], w))
+    g_phi = g_alpha + g_beta - e
+    return g_phi.transpose(2, 0, 1), g_alpha[0].sum(axis=1), g_la
 
 
 def forward_backward(obs: np.ndarray, jump_times: np.ndarray, params: MmppParams,
@@ -283,14 +301,14 @@ def forward_backward(obs: np.ndarray, jump_times: np.ndarray, params: MmppParams
     observations) summed over state paths.
     """
     jump_times = np.asarray(jump_times, dtype=np.float64).reshape(-1)
-    obs = np.asarray(obs, dtype=np.float64).reshape(-1)
+    obs = _checked_obs(obs, horizon)
     if jump_times.size and (np.any(np.diff(jump_times) <= 0)
                             or jump_times[0] <= 0 or jump_times[-1] >= horizon):
         raise ValueError("jump times must be strictly increasing inside (0, horizon)")
     boundaries = np.concatenate([[0.0], jump_times, [horizon]])[None, :]
     phi, _, _ = _segment_potentials(obs, boundaries, params)
     real = np.ones((1, phi.shape[1] - 1), dtype=bool)
-    _, _, mu, xi, log_z = _fb_forward(np.log(params.pi), np.log(params.A), phi, real)
+    mu, xi, log_z, _ = _fb_forward(np.log(params.pi), np.log(params.A), phi, real)
     return HmmPosterior(mu[0], xi[0]), float(log_z[0])
 
 
@@ -298,8 +316,9 @@ def forward_backward(obs: np.ndarray, jump_times: np.ndarray, params: MmppParams
 # relaxed ELBO
 
 
-def _xlogx(x):
-    return np.where(x > 0, x * np.log(np.where(x > 0, x, 1.0)), 0.0)
+def _log0(x):
+    """log x where x > 0, else 0 (so x * _log0(x) is x log x with 0 log 0 = 0)."""
+    return np.log(np.where(x > 0, x, 1.0))
 
 
 # sigmoid(x) is exactly 1.0 in float64 once exp(-x) <= 2**-53, i.e. for
@@ -377,10 +396,7 @@ def elbo_relaxed(q_model: TppModel, params: MmppParams, obs: np.ndarray, n_sampl
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if gamma <= 0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
-    obs = np.asarray(obs, dtype=np.float64).reshape(-1)
-    horizon = q_model.horizon
-    if obs.size and (obs.min() < 0 or obs.max() > horizon):
-        raise ValueError("observations must lie in [0, horizon]")
+    obs = _checked_obs(obs, q_model.horizon)
     k = params.n_states
 
     if draws is None:
@@ -399,24 +415,25 @@ def elbo_relaxed(q_model: TppModel, params: MmppParams, obs: np.ndarray, n_sampl
         c_obs, sb, sbp = _soft_counts(boundaries, obs, gamma)
     real = paths.hard_mask[:, :n - 1].astype(bool)
     log_pi, log_a, log_lam = np.log(params.pi), np.log(params.A), np.log(params.lam)
-    alpha, beta, mu, xi, log_z = _fb_forward(log_pi, log_a, phi, real)
+    mu, xi, log_z, tape = _fb_forward(log_pi, log_a, phi, real)
 
     totals = params.total_rates
     t1 = mu[:, 0] @ log_pi
     t2 = -(deltas * (mu @ totals)).sum(axis=1)
     t5 = -(deltas * (mu @ params.lam)).sum(axis=1)
     t4 = (c_obs * (mu @ log_lam)).sum(axis=1)
+    log_mu0 = _log0(mu[:, 0])
+    t6 = -(mu[:, 0] * log_mu0).sum(axis=1)
     if n > 1:
         t3 = (gates[:, :n - 1] * (xi * log_a[None, None]).sum(axis=(2, 3))).sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ent_pair = (_xlogx(xi) - xi * np.where(mu[:, :-1, :, None] > 0,
-                                                   np.log(np.where(mu[:, :-1, :, None] > 0,
-                                                                   mu[:, :-1, :, None], 1.0)),
-                                                   0.0)).sum(axis=(2, 3))
-        t6 = -_xlogx(mu[:, 0]).sum(axis=1) - (gates[:, :n - 1] * ent_pair).sum(axis=1)
+        # log of the transition posterior xi / mu_from, shared by the pair
+        # entropy and its cotangent
+        log_cond = _log0(xi)
+        log_cond -= _log0(mu[:, :-1, :, None])
+        ent_pair = (xi * log_cond).sum(axis=(2, 3))
+        t6 -= (gates[:, :n - 1] * ent_pair).sum(axis=1)
     else:
         t3 = np.zeros(s)
-        t6 = -_xlogx(mu[:, 0]).sum(axis=1)
     log_q = tpp.path_log_density(paths, relaxed=not hard)
     per_sample = t1 + t2 + t3 + t4 + t5 + t6 - log_q
     value = float(per_sample.mean())
@@ -429,13 +446,10 @@ def elbo_relaxed(q_model: TppModel, params: MmppParams, obs: np.ndarray, n_sampl
     g_mu[:, 0] += log_pi[None, :]
     g_mu += (-deltas[:, :, None]) * (totals + params.lam)[None, None, :]
     g_mu += c_obs[:, :, None] * log_lam[None, None, :]
-    g_mu[:, 0] += -(np.log(np.where(mu[:, 0] > 0, mu[:, 0], 1.0)) + 1.0) * (mu[:, 0] > 0)
+    g_mu[:, 0] += -(log_mu0 + 1.0) * (mu[:, 0] > 0)
     gate_cot = np.zeros((s, max(n - 1, 0)))
     if n > 1:
-        with np.errstate(divide="ignore"):
-            log_xi = np.log(np.where(xi > 0, xi, 1.0))
-            log_mu_from = np.log(np.where(mu[:, :-1, :, None] > 0, mu[:, :-1, :, None], 1.0))
-        g_xi = gates[:, :n - 1, None, None] * (log_a[None, None] - (log_xi - log_mu_from + 1.0))
+        g_xi = gates[:, :n - 1, None, None] * (log_a[None, None] - (log_cond + 1.0))
         g_xi = np.where(xi > 0, g_xi, 0.0)
         g_mu[:, :-1] += gates[:, :n - 1, None] * np.where(
             mu[:, :-1] > 0, xi.sum(axis=3) / np.where(mu[:, :-1] > 0, mu[:, :-1], 1.0), 0.0)
@@ -443,8 +457,7 @@ def elbo_relaxed(q_model: TppModel, params: MmppParams, obs: np.ndarray, n_sampl
     else:
         g_xi = np.zeros((s, 0, k, k))
 
-    g_phi, g_lp, g_la = _fb_vjp(log_pi, log_a, phi, real, alpha, beta, mu, xi, log_z,
-                                g_mu, g_xi)
+    g_phi, g_lp, g_la = _fb_vjp(tape, g_mu, g_xi)
 
     # theta gradients in natural coordinates
     grad_pi = (mu[:, 0].sum(axis=0) / params.pi + g_lp / params.pi) * inv_s
@@ -566,14 +579,14 @@ def grid_times(horizon: float, n_grid: int) -> np.ndarray:
 def posterior_curves(q_model: TppModel, params: MmppParams, obs: np.ndarray,
                      n_grid: int = 200, n_samples: int = 512, seed: int = 0) -> np.ndarray:
     """Marginal state occupancy E_q[ 1(s(t) = k) ] on the evaluation grid."""
-    obs = np.asarray(obs, dtype=np.float64).reshape(-1)
+    obs = _checked_obs(obs, q_model.horizon)
     t_ext, _ = tpp.draw_extended(q_model, n_samples, seed)
     paths = tpp.prepare_paths(q_model, t_ext, None)
     s, n = t_ext.shape
     boundaries = np.concatenate([np.zeros((s, 1)), paths.clipped], axis=1)
     phi, _, _ = _segment_potentials(obs, boundaries, params)
     real = paths.hard_mask[:, :n - 1].astype(bool)
-    _, _, mu, _, _ = _fb_forward(np.log(params.pi), np.log(params.A), phi, real)
+    mu, _, _, _ = _fb_forward(np.log(params.pi), np.log(params.A), phi, real)
     grid = grid_times(q_model.horizon, n_grid)
     out = np.zeros((n_grid, params.n_states))
     for r in range(s):

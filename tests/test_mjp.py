@@ -143,6 +143,213 @@ def test_forward_backward_validates_jumps():
         mjp.forward_backward(np.zeros(0), np.array([6.0]), p, 5.0)
 
 
+def test_observations_are_validated():
+    """Observations outside [0, horizon] or non-finite raise at every entry point."""
+    p = two_state_params()
+    q = _small_q(5.0)
+    with pytest.raises(ValueError):
+        mjp.forward_backward(np.array([-3.0, 1.0, 9.0]), np.array([2.0]), p, 5.0)
+    for bad in ([1.0, np.nan], [np.inf], [-np.inf, 2.0], [5.5]):
+        bad = np.array(bad)
+        with pytest.raises(ValueError, match="observations"):
+            mjp.forward_backward(bad, np.array([2.0]), p, 5.0)
+        with pytest.raises(ValueError, match="observations"):
+            mjp.posterior_curves(q, p, bad, n_grid=10, n_samples=4)
+        with pytest.raises(ValueError, match="observations"):
+            mjp.elbo_relaxed(q, p, bad, 4, gamma=0.1)
+    edges = np.array([0.0, 2.5, 5.0])
+    _, lz = mjp.forward_backward(edges, np.array([2.0]), p, 5.0)
+    assert np.isfinite(lz)
+    assert np.isfinite(mjp.elbo_relaxed(q, p, edges, 4, gamma=0.1, want_grads=False).value)
+
+
+def logspace_fb_forward(log_pi, log_a, phi, real):
+    """Log-space forward-backward with per-step skip masks: the recursion the
+    scaled one replaced, kept as its reference."""
+    s, n, k = phi.shape
+    alpha = np.empty((s, n, k))
+    beta = np.empty((s, n, k))
+    alpha[:, 0] = log_pi[None, :] + phi[:, 0]
+    for i in range(1, n):
+        prop = mjp._lse(alpha[:, i - 1, :, None] + log_a[None, :, :], axis=1)
+        keep = real[:, i - 1][:, None]
+        alpha[:, i] = np.where(keep, prop, alpha[:, i - 1]) + phi[:, i]
+    log_z = mjp._lse(alpha[:, n - 1], axis=1)
+    beta[:, n - 1] = 0.0
+    for i in range(n - 2, -1, -1):
+        c = phi[:, i + 1] + beta[:, i + 1]
+        prop = mjp._lse(log_a[None, :, :] + c[:, None, :], axis=2)
+        keep = real[:, i][:, None]
+        beta[:, i] = np.where(keep, prop, c)
+    mu = np.exp(alpha + beta - log_z[:, None, None])
+    if n > 1:
+        c_all = phi[:, 1:] + beta[:, 1:]
+        xi = np.exp(alpha[:, :-1, :, None] + log_a[None, None, :, :]
+                    + c_all[:, :, None, :] - log_z[:, None, None, None])
+        fake = ~real
+        if fake.any():
+            diag = np.zeros_like(xi[fake])
+            diag[:, np.arange(k), np.arange(k)] = mu[:, :-1][fake]
+            xi[fake] = diag
+    else:
+        xi = np.zeros((s, 0, k, k))
+    return alpha, beta, mu, xi, log_z
+
+
+def logspace_fb_vjp(log_pi, log_a, phi, real, alpha, beta, mu, xi, log_z, g_mu, g_xi):
+    """VJP of ``logspace_fb_forward``.  On a skipped step the exponentiated
+    weights may overflow; ``np.where`` discards them."""
+    s, n, k = phi.shape
+    g_alpha = np.zeros((s, n, k))
+    g_beta = np.zeros((s, n, k))
+    g_phi = np.zeros((s, n, k))
+    g_la = np.zeros((k, k))
+    g_lz = np.zeros(s)
+    g_mu_tot = np.array(g_mu, dtype=np.float64, copy=True)
+    if n > 1:
+        fake = ~real
+        if fake.any():
+            g_mu_tot[:, :-1][fake] += g_xi[fake][:, np.arange(k), np.arange(k)]
+        realf = real[:, :, None, None]
+        p = np.where(realf, g_xi * xi, 0.0)
+        g_alpha[:, :-1] += p.sum(axis=3)
+        g_la += p.sum(axis=(0, 1))
+        tail = p.sum(axis=2)
+        g_phi[:, 1:] += tail
+        g_beta[:, 1:] += tail
+        g_lz -= p.sum(axis=(1, 2, 3))
+    e = g_mu_tot * mu
+    g_alpha += e
+    g_beta += e
+    g_lz -= e.sum(axis=(1, 2))
+    g_alpha[:, n - 1] += np.exp(alpha[:, n - 1] - log_z[:, None]) * g_lz[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, n - 1):
+            c = phi[:, i + 1] + beta[:, i + 1]
+            w = np.exp(log_a[None, :, :] + c[:, None, :] - beta[:, i][:, :, None])
+            keep = real[:, i]
+            p = np.where(keep[:, None, None], g_beta[:, i][:, :, None] * w, 0.0)
+            g_la += p.sum(axis=0)
+            move = p.sum(axis=1)
+            skip = np.where(keep[:, None], 0.0, g_beta[:, i])
+            g_phi[:, i + 1] += move + skip
+            g_beta[:, i + 1] += move + skip
+        for i in range(n - 1, 0, -1):
+            g_phi[:, i] += g_alpha[:, i]
+            w = np.exp(alpha[:, i - 1][:, :, None] + log_a[None, :, :]
+                       - (alpha[:, i] - phi[:, i])[:, None, :])
+            keep = real[:, i - 1]
+            p = np.where(keep[:, None, None], w * g_alpha[:, i][:, None, :], 0.0)
+            g_alpha[:, i - 1] += p.sum(axis=2) + np.where(keep[:, None], 0.0, g_alpha[:, i])
+            g_la += p.sum(axis=0)
+    g_phi[:, 0] += g_alpha[:, 0]
+    g_lp = g_alpha[:, 0].sum(axis=0)
+    return g_phi, g_lp, g_la
+
+
+def regime_inputs(rng, lam, a, cols, rows=8, horizon=80.0):
+    """Forward-backward inputs as ``elbo_relaxed`` builds them: rows of
+    ``cols`` segments whose real jumps leave a gap of at least 50 in
+    (15, 65), padded with zero-length fake segments at the horizon (about a
+    quarter of the steps)."""
+    k = len(lam)
+    p = mjp.MmppParams(rng.dirichlet(np.ones(k)), np.broadcast_to(a, (k, k)),
+                       np.array(lam, dtype=float))
+    t_ext = np.full((rows, cols), horizon + 1.0)
+    for r in range(rows):
+        m = int(rng.integers((cols - 1) // 2, cols))
+        early = int(rng.integers(0, m + 1))
+        t_ext[r, :m] = np.sort(np.concatenate([rng.uniform(0, 15, early),
+                                               rng.uniform(65, horizon, m - early)]))
+    boundaries = np.concatenate([np.zeros((rows, 1)), np.minimum(t_ext, horizon)], axis=1)
+    obs = np.sort(rng.uniform(0, horizon, 60))
+    phi, _, _ = mjp._segment_potentials(obs, boundaries, p)
+    return np.log(p.pi), np.log(p.A), phi, t_ext[:, :cols - 1] < horizon
+
+
+MIXED_A = np.array([[0.1, 1e-6, 1e-12], [1e-12, 0.1, 1e-6], [1e-6, 1e-12, 0.1]])
+
+REGIMES = {   # observation rates, transition rates, segments per row
+    "long_segment_a0.1": ((1.0, 20.0, 5.0), 0.1, 9),
+    "long_segment_a1e-6": ((1.0, 20.0, 5.0), 1e-6, 9),
+    "long_segment_a1e-12": ((1.0, 20.0, 5.0), 1e-12, 9),
+    "long_segment_mixed_a": ((1.0, 20.0, 5.0), MIXED_A, 9),
+    "one_segment": ((1.0, 20.0, 5.0), 0.1, 1),
+    "one_state": ((20.0,), 0.1, 9),
+}
+
+
+@pytest.mark.parametrize("case", list(REGIMES))
+def test_scaled_forward_backward_matches_log_space(case):
+    """The scaled recursion and its VJP agree with the log-space reference
+    within 1e-10, also where exp(phi - max phi) underflows to 0."""
+    lam, a, cols = REGIMES[case]
+    rng = np.random.default_rng(17)
+    log_pi, log_a, phi, real = regime_inputs(rng, lam, a, cols)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        mu, xi, log_z, tape = mjp._fb_forward(log_pi, log_a, phi, real)
+        g_mu = rng.normal(size=mu.shape)
+        g_xi = rng.normal(size=xi.shape)
+        got = mjp._fb_vjp(tape, g_mu, g_xi)
+    alpha, beta, mu_ref, xi_ref, lz_ref = logspace_fb_forward(log_pi, log_a, phi, real)
+    want = logspace_fb_vjp(log_pi, log_a, phi, real, alpha, beta, mu_ref, xi_ref, lz_ref,
+                           g_mu, g_xi)
+    assert np.abs(mu - mu_ref).max() <= 1e-10
+    assert xi.shape == xi_ref.shape and np.abs(xi - xi_ref).max(initial=0.0) <= 1e-10
+    assert np.all(np.abs(log_z - lz_ref) <= 1e-10 * np.maximum(1.0, np.abs(lz_ref)))
+    # relative to the largest output or input term of the VJP's sums: an
+    # entry far below that is a sum that cancels (all of them at K = 1,
+    # where the gradients are exactly 0) and carries its terms' rounding
+    scale = max(np.abs(g_mu * mu_ref).max(), np.abs(g_xi * xi_ref).max(initial=0.0),
+                *(np.abs(w).max() for w in want))
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.abs(g - w).max() <= 1e-10 * scale
+
+
+def test_fb_vjp_matches_finite_differences():
+    """A random linear functional of (marginals, pairwise, log Z) at K = 3,
+    with skipped steps, differentiated in phi, log pi and log A."""
+    rng = np.random.default_rng(5)
+    s, n, k = 4, 6, 3
+    phi = rng.normal(0.0, 1.5, (s, n, k))
+    log_pi = np.log(rng.dirichlet(np.ones(k)))
+    log_a = np.log(rng.uniform(0.05, 1.0, (k, k)))
+    real = np.ones((s, n - 1), dtype=bool)
+    real[1, 3:] = False             # a padded row
+    real[2, 1] = False              # a skip inside a row
+    real[3, :] = False
+    g_mu = rng.normal(size=(s, n, k))
+    g_xi = rng.normal(size=(s, n - 1, k, k))
+    g_lz = rng.normal(size=s)
+
+    def value(log_pi, log_a, phi):
+        mu, xi, log_z, _ = mjp._fb_forward(log_pi, log_a, phi, real)
+        return (g_mu * mu).sum() + (g_xi * xi).sum() + g_lz @ log_z
+
+    mu, xi, _, tape = mjp._fb_forward(log_pi, log_a, phi, real)
+    g_phi, g_lp, g_la = mjp._fb_vjp(tape, g_mu, g_xi)
+    # d log Z is (mu, mu_0, the real steps' xi)
+    g_phi = g_phi + g_lz[:, None, None] * mu
+    g_lp = g_lp + g_lz @ mu[:, 0]
+    g_la = g_la + np.einsum("s,si,sijk->jk", g_lz, real, xi)
+
+    h = 1e-6
+
+    def fd(x, f):
+        out = np.zeros(x.shape)
+        for idx in np.ndindex(x.shape):
+            e = np.zeros(x.shape)
+            e[idx] = h
+            out[idx] = (f(x + e) - f(x - e)) / (2 * h)
+        return out
+
+    for got, num in ((g_phi, fd(phi, lambda x: value(log_pi, log_a, x))),
+                     (g_lp, fd(log_pi, lambda x: value(x, log_a, phi))),
+                     (g_la, fd(log_a, lambda x: value(log_pi, x, phi)))):
+        assert np.abs(got - num).max() <= 1e-6 * max(1.0, np.abs(num).max())
+
+
 def padded_boundaries(rng, rows, cols, horizon):
     """Boundary rows as ``elbo_relaxed`` builds them: 0, then sorted jump
     times clipped at the horizon, so many rows end in repeats of it."""
