@@ -56,11 +56,12 @@ class MmppParams:
         k = pi.size
         if A.shape != (k, k) or lam.shape != (k,):
             raise ValueError(f"inconsistent shapes: pi {pi.shape}, A {A.shape}, lam {lam.shape}")
-        if np.any(pi < 0) or abs(pi.sum() - 1.0) > 1e-10:
-            raise ValueError("pi must be a probability vector")
-        if np.any(A <= 0):
+        # `not all(> 0)` also rejects NaN entries
+        if not (np.all(pi > 0) and abs(pi.sum() - 1.0) <= 1e-10):
+            raise ValueError("pi must be a probability vector with every entry > 0")
+        if not np.all(A > 0):
             raise ValueError("all transition rates must be > 0")
-        if np.any(lam <= 0):
+        if not np.all(lam > 0):
             raise ValueError("all observation rates must be > 0")
 
     @property

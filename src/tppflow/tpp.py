@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 MAX_EXTENDED = 1 << 20
+# Gaps drawn per row stream at a time by sequential_sample.  Streams are
+# local to the call, so drawing ahead leaves every used draw unchanged.
+_GAP_BLOCK = 64
 
 
 @dataclass
@@ -192,7 +195,10 @@ def sequential_sample(model: TppModel, batch_size: int, seed: int) -> SampleBatc
     while float(t_last.min()) < model.horizon:
         if len(cols) >= MAX_EXTENDED:
             raise RuntimeError(f"extended sample length exceeded {MAX_EXTENDED}")
-        z_last = z_last + np.array([g.exponential(1.0) for g in streams])
+        j = len(cols) % _GAP_BLOCK
+        if j == 0:
+            gaps = np.stack([g.exponential(1.0, size=_GAP_BLOCK) for g in streams], axis=1)
+        z_last = z_last + gaps[j]
         t_col = inverter.step(z_last)
         cols.append(t_col)
         t_last = np.maximum(t_last, t_col)

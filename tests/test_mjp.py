@@ -49,6 +49,14 @@ def test_params_validation():
         mjp.MmppParams(np.array([0.5, 0.5]), np.full((2, 2), 0.1), np.array([1.0, -1.0]))
 
 
+def test_params_reject_zero_initial_probability():
+    # log(pi) would be -inf and the relaxed ELBO's gradients NaN
+    with pytest.raises(ValueError, match="pi"):
+        mjp.MmppParams([1, 0], [[0.2, 0.4], [0.3, 0.1]], [1, 4])
+    with pytest.raises(ValueError, match="pi"):
+        mjp.MmppParams([np.nan, 1.0], [[0.2, 0.4], [0.3, 0.1]], [1, 4])
+
+
 def test_simulate_mmpp_statistics():
     p = mjp.MmppParams(np.array([1.0]), np.array([[0.8]]), np.array([2.0]))
     jumps, obs_counts = [], []

@@ -6,6 +6,7 @@ from tppflow import tpp
 from tppflow import transforms as tr
 from tppflow.metrics import ks_exp1
 from tppflow.models import ModelKind, build_model
+from tppflow.rng import row_streams
 from tppflow.seqdata import EventSequence, PaddedBatch, pad_batch
 
 
@@ -171,6 +172,25 @@ def test_sequential_sampler_matches_parallel():
     seq = tpp.sequential_sample(model, 12, seed=21)
     n = min(par.extended.shape[1], seq.extended.shape[1])
     assert np.abs(par.extended[:, :n] - seq.extended[:, :n]).max() < 1e-9
+
+
+@pytest.mark.parametrize("batch_size", [1, 7])
+def test_sequential_sample_draws_match_one_draw_per_column(batch_size):
+    """Gaps drawn in blocks of columns consume each row stream exactly as
+    one draw per column does, on rows several gap blocks long."""
+    model = make_model("tritpp", horizon=10.0, seed=4, noise=0.3, rate_init=15.0)
+    seed = 8
+    streams = row_streams(seed, batch_size, 2)
+    inverter = tr.SequentialInverter(model.spec, model.params, batch_size)
+    z, cols, t_last = np.zeros(batch_size), [], np.full(batch_size, -np.inf)
+    while float(t_last.min()) < model.horizon:
+        z = z + np.array([g.exponential(1.0) for g in streams])
+        cols.append(inverter.step(z))
+        t_last = np.maximum(t_last, cols[-1])
+    ref = np.stack(cols, axis=1)
+    ref = ref[:, :int((ref < model.horizon).sum(axis=1).max()) + 1]
+    assert ref.shape[1] > 2 * tpp._GAP_BLOCK
+    assert np.array_equal(tpp.sequential_sample(model, batch_size, seed).extended, ref)
 
 
 def test_relaxed_mask_values():

@@ -104,9 +104,10 @@ def test_bridge_domain_errors():
 # block-diagonal layers
 
 
-def dense_block_matrix(block: tr.BlockDiag, theta, n: int) -> np.ndarray:
-    """Window of the infinite block-diagonal operator, built independently."""
-    b = block.matrix(theta)
+def dense_block_matrix(block: tr.BlockDiag, theta, n: int, b=None) -> np.ndarray:
+    """Window of the infinite block-diagonal operator, built independently
+    (of ``block.matrix(theta)``, or of the H x H matrix ``b`` when given)."""
+    b = block.matrix(theta) if b is None else b
     h, o = block.size, block.offset
     out = np.zeros((n, n))
     start = o - h if o else 0
@@ -160,6 +161,64 @@ def test_block_round_trip(rng):
     x = rng.normal(0, 1, (2, 8))
     y, _, _ = blk.forward(x, theta)
     assert np.abs(blk.inverse(y, theta) - x).max() < 1e-10
+
+
+@pytest.mark.parametrize("offset", [0, 3])
+def test_block_row_blocks_match_dense(rng, monkeypatch, offset):
+    # two rows per row block: 7 rows of width 23 span four blocks, the last ragged
+    monkeypatch.setattr(tr, "_ROW_BLOCK", 64)
+    blk, n = tr.BlockDiag("b", 6, offset), 23
+    theta = rng.normal(0, 0.5, blk.n_params)
+    x, g, gl, w = rng.normal(0, 1, (4, 7, n))
+    dense = dense_block_matrix(blk, theta, n)
+    y, ld, _ = blk.forward(x, theta)
+    assert np.abs(y - x @ dense.T).max() < 1e-12
+    assert np.abs(ld - np.log(np.diag(dense))).max() < 1e-12
+    assert np.abs(blk.inverse(y, theta) - np.linalg.solve(dense, y.T).T).max() < 1e-12
+    assert np.abs(blk.inv_jac_t(x, theta, w) - np.linalg.solve(dense.T, w.T).T).max() < 1e-12
+    g_x, g_p = blk.vjp(x, theta, g, gl)
+    assert np.abs(g_x - g @ dense).max() < 1e-12
+    # the dense operator is linear in the block's entries: differentiate it exactly
+    h = blk.size
+    entries = list(zip(range(h), range(h))) + list(zip(*np.tril_indices(h, -1)))
+    expected = np.zeros(blk.n_params)
+    for k, (i, j) in enumerate(entries):
+        unit = np.zeros((h, h))
+        unit[i, j] = np.exp(theta[k]) if k < h else 1.0
+        d_dense = dense_block_matrix(blk, None, n, b=unit)
+        expected[k] = (g.T @ x * d_dense).sum()
+        if k < h:
+            expected[k] += gl.sum(axis=0) @ (np.diag(d_dense) != 0)
+    assert np.abs(g_p - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("row_block", [64, tr._ROW_BLOCK])
+@pytest.mark.parametrize("offset", [0, 3])
+def test_block_rows_bitwise_alone_batched_and_padded(rng, monkeypatch, row_block, offset):
+    """A row's outputs do not depend by a bit on the other rows of its batch,
+    on the row blocks it falls in, or on appended columns (zero cotangents)."""
+    monkeypatch.setattr(tr, "_ROW_BLOCK", row_block)
+    blk, n = tr.BlockDiag("b", 6, offset), 23
+    theta = rng.normal(0, 0.5, blk.n_params)
+    x, g, gl, w = rng.normal(0, 1, (4, 7, n))
+
+    def outputs(x, g, gl, w):
+        y, ld, _ = blk.forward(x, theta)
+        g_x, g_p = blk.vjp(x, theta, g, gl)
+        return (y, ld, g_x, blk.inverse(x, theta), blk.inv_jac_t(x, theta, w)), g_p
+
+    full, g_p = outputs(x, g, gl, w)
+    for r in range(7):
+        alone, _ = outputs(x[r:r + 1], g[r:r + 1], gl[r:r + 1], w[r:r + 1])
+        for a, b in zip(alone, full):
+            assert np.array_equal(a[0], b[r])
+    for k in (1, 7, 64):
+        zeros = np.zeros((7, k))
+        wide, g_p_wide = outputs(np.concatenate([x, rng.normal(0, 1, (7, k))], axis=1),
+                                 *(np.concatenate([a, zeros], axis=1) for a in (g, gl, w)))
+        for a, b in zip(wide, full):
+            assert np.array_equal(a[:, :n], b), k
+        assert np.abs(g_p_wide - g_p).max() < 1e-12
 
 
 def test_block_validation():
