@@ -582,16 +582,16 @@ def posterior_curves(q_model: TppModel, params: MmppParams, obs: np.ndarray,
     """Marginal state occupancy E_q[ 1(s(t) = k) ] on the evaluation grid."""
     obs = _checked_obs(obs, q_model.horizon)
     t_ext, _ = tpp.draw_extended(q_model, n_samples, seed)
-    paths = tpp.prepare_paths(q_model, t_ext, None)
+    clipped = np.minimum(t_ext, q_model.horizon)
     s, n = t_ext.shape
-    boundaries = np.concatenate([np.zeros((s, 1)), paths.clipped], axis=1)
+    boundaries = np.concatenate([np.zeros((s, 1)), clipped], axis=1)
     phi, _, _ = _segment_potentials(obs, boundaries, params)
-    real = paths.hard_mask[:, :n - 1].astype(bool)
+    real = t_ext[:, :n - 1] < q_model.horizon
     mu, _, _, _ = _fb_forward(np.log(params.pi), np.log(params.A), phi, real)
     grid = grid_times(q_model.horizon, n_grid)
     out = np.zeros((n_grid, params.n_states))
     for r in range(s):
-        seg = np.clip(np.searchsorted(paths.clipped[r], grid, side="right"), 0, n - 1)
+        seg = np.clip(np.searchsorted(clipped[r], grid, side="right"), 0, n - 1)
         out += mu[r, seg]
     return out / s
 

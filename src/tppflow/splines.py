@@ -29,6 +29,9 @@ MIN_BIN = 1e-3
 MIN_DERIV = 1e-3
 # softplus(_DERIV_SHIFT) == 1 - MIN_DERIV, so zero logits give derivative 1.
 _DERIV_SHIFT = float(np.log(np.expm1(1.0 - MIN_DERIV)))
+# Cells of the uniform grid the bin lookup reads.  A cell (1/2048 wide) is
+# narrower than the narrowest bin (MIN_BIN), so it holds at most one knot.
+_GRID = 2048
 # Elements per block in forward, inverse and vjp.  A block's temporaries
 # (64 kB each) stay in cache and are recycled by the allocator, where
 # whole-batch temporaries are paged in afresh on every call.
@@ -65,9 +68,12 @@ class Knots(NamedTuple):
     w: np.ndarray   # (K-1,) bin widths
     h: np.ndarray   # (K-1,) bin heights
     s: np.ndarray   # (K-1,) bin slopes h / w
+    mm: np.ndarray  # (K-1,) d_lo + d_hi - 2s: the rational function's den = s + mm * u
     sm_w: np.ndarray
     sm_h: np.ndarray
     sig_d: np.ndarray
+    x_grid: tuple   # bin lookup tables of x and y, see _grid_table
+    y_grid: tuple
 
 
 class Residuals(NamedTuple):
@@ -109,21 +115,48 @@ def make_knots(spline: RqsSpline, theta: np.ndarray) -> Knots:
     y = np.concatenate([[0.0], np.cumsum(h)])
     sig_d = sigmoid(td + _DERIV_SHIFT)
     d = MIN_DERIV + np.logaddexp(0.0, td + _DERIV_SHIFT)
-    return Knots(x, y, d, w, h, h / w, sm_w, sm_h, sig_d)
+    s = h / w
+    mm = d[1:] + d[:-1] - 2.0 * s
+    return Knots(x, y, d, w, h, s, mm, sm_w, sm_h, sig_d, _grid_table(x), _grid_table(y))
 
 
-def _bin_index(edges, v):
+def _cell(v):
+    """Grid cell of each ``v`` in [0, 1]: floor(v * _GRID), exact as _GRID is a
+    power of two.  ``fmax`` sends NaN to cell 0 rather than through the cast."""
+    c = v * _GRID
+    np.fmax(c, 0.0, out=c)
+    return c.astype(np.intp)
+
+
+def _grid_table(edges):
+    """Lookup table of the interior knots ``edges[1:-1]`` for ``_bin_index``.
+
+    ``first[c]`` counts the interior knots in the cells before cell c, and
+    ``knot[c]`` is the interior knot in cell c, or +inf.  Knots are at least
+    ``MIN_BIN`` > 1/_GRID apart, so no cell holds two.
+    """
+    inner = edges[1:-1]
+    cell = _cell(inner)
+    starts = np.zeros(_GRID + 1, dtype=np.min_scalar_type(len(inner)))
+    starts[cell + 1] = 1
+    first = np.cumsum(starts, dtype=starts.dtype)
+    knot = np.full(_GRID + 1, np.inf)
+    knot[cell] = inner
+    return first, knot
+
+
+def _bin_index(table, v):
     """Bin of each ``v`` in [0, 1]: the number of interior knots at or below it.
 
-    This is the clipped ``searchsorted(edges, v, "right") - 1``.  One compare
-    pass per knot is several times faster than a binary search per element on
-    large batches, and slower on a handful of elements (``inverse``, which the
-    sequential sampler calls one column at a time, keeps ``searchsorted``).
+    This is exactly the clipped ``searchsorted(edges, v, "right") - 1``: a
+    knot in an earlier cell than v is <= v, one in a later cell is > v, and
+    the one knot that may share v's cell is compared directly.  The cost per
+    element is one cell, two gathers and one compare, whatever the number of
+    knots.  A NaN ``v`` falls in bin 0.
     """
-    k = np.zeros(v.shape, dtype=np.min_scalar_type(len(edges) - 2))
-    for e in edges[1:-1]:
-        k += v >= e
-    return k
+    first, knot = table
+    c = _cell(v)
+    return first[c] + (v >= knot[c])
 
 
 def _by_blocks(fn, *arrays):
@@ -154,19 +187,18 @@ def forward(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, knots: Knots | 
     """
     kn = knots if knots is not None else make_knots(spline, theta)
     x = np.asarray(x, dtype=np.float64)
-    mm = kn.d[1:] + kn.d[:-1] - 2.0 * kn.s          # den = s + mm * u, per bin
     two_log_s = 2.0 * np.log(kn.s)
 
     def block(v):
         xc = np.clip(v, 0.0, 1.0)
-        k_small = _bin_index(kn.x, xc)
+        k_small = _bin_index(kn.x_grid, xc)
         k = k_small.astype(np.intp)
         xi = np.clip((xc - kn.x[k]) / kn.w[k], 0.0, 1.0)
         u = xi * (1.0 - xi)
         s = kn.s[k]
         dlo = kn.d[:-1][k]
         num = s * xi * xi + dlo * u
-        den = s + mm[k] * u
+        den = s + kn.mm[k] * u
         q = kn.d[1:][k] * xi * xi + 2.0 * s * u + dlo * (1.0 - xi) ** 2
         y = kn.y[k] + kn.h[k] * num / den
         ld = two_log_s[k] + np.log(q) - 2.0 * np.log(den)
@@ -193,23 +225,23 @@ def inverse(spline: RqsSpline, theta: np.ndarray, y: np.ndarray, knots: Knots | 
     """Closed-form inverse (quadratic-formula root per bin, linear tails)."""
     kn = knots if knots is not None else make_knots(spline, theta)
     y = np.asarray(y, dtype=np.float64)
+    # per bin: a = a0 + r mm, b = b0 - r mm, c = -s r with r = y - y_k
+    a0 = kn.h * (kn.s - kn.d[:-1])
+    b0 = kn.h * kn.d[:-1]
+    neg_s = -kn.s
 
     def block(v):
-        yc = np.clip(v, 0.0, 1.0)       # binary search: see _bin_index
-        k = np.clip(np.searchsorted(kn.y, yc, side="right") - 1, 0, spline.n_bins - 1)
-        wk, hk = kn.w[k], kn.h[k]
-        xk, yk = kn.x[k], kn.y[k]
-        dlo, dhi = kn.d[k], kn.d[k + 1]
-        s = kn.s[k]
-        mm = dhi + dlo - 2.0 * s
-        r = yc - yk
-        a = hk * (s - dlo) + r * mm
-        b = hk * dlo - r * mm
-        c = -s * r
+        yc = np.clip(v, 0.0, 1.0)
+        k = _bin_index(kn.y_grid, yc).astype(np.intp)
+        r = yc - kn.y[k]
+        r_mm = r * kn.mm[k]
+        a = a0[k] + r_mm
+        b = b0[k] - r_mm
+        c = neg_s[k] * r
         disc = np.maximum(b * b - 4.0 * a * c, 0.0)
         xi = 2.0 * c / (-b - np.sqrt(disc))
         xi = np.clip(xi, 0.0, 1.0)
-        return (xk + wk * xi,)
+        return (kn.x[k] + kn.w[k] * xi,)
 
     x, = _by_blocks(block, y)
     lo = y < 0.0
@@ -244,7 +276,6 @@ def vjp(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, g_y: np.ndarray, g_
 
     # Inside a bin: y = y_k + h num/den and logderiv = 2 log s + log q - 2 log den,
     # with s = h/w, den = s + mm u, mm = d_lo + d_hi - 2s, u = xi (1 - xi).
-    mm = kn.d[1:] + kn.d[:-1] - 2.0 * kn.s
     s_minus_dlo = kn.s - kn.d[:-1]
     inv_w = 1.0 / kn.w
 
@@ -253,7 +284,7 @@ def vjp(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, g_y: np.ndarray, g_
     def block(k_small, xi, num, den, q, gy, gl):
         """g_x of one block; adds the block's per-bin sums of the partials to ``sums``."""
         k = k_small.astype(np.intp)
-        s, mm_k = kn.s[k], mm[k]
+        s, mm_k = kn.s[k], kn.mm[k]
         inv_den = 1.0 / den
         a = gy * kn.h[k] * inv_den * inv_den        # g_y h / den^2
         gl_q = gl / q

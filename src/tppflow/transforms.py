@@ -179,8 +179,7 @@ class BlockDiag:
         b = self.matrix(p)
         y = self._by_row_blocks(lambda c: c @ b.T, x)
         pos = (np.arange(x.shape[-1]) - self.offset) % self.size
-        ld = np.broadcast_to(p[:self.size][pos], x.shape).copy()
-        return y, ld, None
+        return y, np.broadcast_to(p[:self.size][pos], x.shape), None
 
     def inverse(self, y, p):
         b = self.matrix(p)
@@ -518,16 +517,20 @@ def _run_forward(times, spec, store, validate, keep=False):
             pin = y == 0.0
             if not pin.any():
                 pin = None
-        if pin is not None:
-            # y and ld are fresh arrays of this layer, so pin them in place
+            free = None if pin is None else ~pin
+        if pin is None:
+            logdiag += ld
+        else:
+            # y is a fresh array of this layer, so pin it in place; ld may be
+            # a read-only view.  logdiag starts at +0.0 and so is never -0.0:
+            # skipping its pinned positions equals adding a pinned 0.0 there.
             if layer.force_fwd:
                 np.copyto(y, 0.0, where=pin)
-            np.copyto(ld, 0.0, where=pin)
+            np.add(logdiag, ld, out=logdiag, where=free)
         if keep:
             inputs.append(x)
             residuals.append(res)
         pins.append(pin)
-        logdiag += ld
         x = y
         if isinstance(layer, Cumsum):
             pin = None

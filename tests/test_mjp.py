@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tppflow import mjp, tpp
+from tppflow import transforms as tr
 from tppflow.splines import sigmoid
 from tppflow.models import ModelKind, build_model
 
@@ -581,6 +582,20 @@ def test_vi_seed_stability():
         curves.append(mjp.posterior_curves(res.q_model, p, obs, n_grid=100,
                                            n_samples=256, seed=50 + s))
     assert np.abs(curves[0] - curves[1]).mean() <= 0.1
+
+
+def test_posterior_curves_run_no_forward_pass(monkeypatch):
+    """The curves need the drawn times and their mask, not the forward chain."""
+    p = two_state_params()
+    _, obs = mjp.simulate_mmpp(p, 5.0, seed=3)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("posterior_curves ran the forward chain")
+
+    monkeypatch.setattr(tr, "compose_forward_cached", forbidden)
+    curves = mjp.posterior_curves(_small_q(5.0), p, obs, n_grid=20, n_samples=16, seed=4)
+    assert curves.shape == (20, 2)
+    assert np.allclose(curves.sum(axis=1), 1.0)
 
 
 def test_rao_teh_k1_occupancy():

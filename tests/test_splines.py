@@ -159,21 +159,90 @@ def test_vjp_matches_finite_differences(spline10, theta10, rng):
             assert gx_value[j] == pytest.approx(num, rel=2e-5, abs=1e-7)
 
 
+def knot_probes(rng, edges, lo=0.0, hi=1.0):
+    """Random points in [lo, hi], every knot, both float neighbours of every
+    knot, 0 and 1."""
+    return np.concatenate([rng.uniform(lo, hi, 2000), edges, np.nextafter(edges, -np.inf),
+                           np.nextafter(edges, np.inf), [0.0, 1.0]])
+
+
+def searchsorted_inverse(knots, y):
+    """The inverse with a binary search per element and the quadratic's
+    coefficients built per element."""
+    yc = np.clip(y, 0.0, 1.0)
+    k = np.clip(np.searchsorted(knots.y, yc, side="right") - 1, 0, len(knots.w) - 1)
+    wk, hk = knots.w[k], knots.h[k]
+    xk, yk = knots.x[k], knots.y[k]
+    dlo, dhi = knots.d[k], knots.d[k + 1]
+    s = knots.s[k]
+    mm = dhi + dlo - 2.0 * s
+    r = yc - yk
+    a = hk * (s - dlo) + r * mm
+    b = hk * dlo - r * mm
+    c = -s * r
+    disc = np.maximum(b * b - 4.0 * a * c, 0.0)
+    xi = np.clip(2.0 * c / (-b - np.sqrt(disc)), 0.0, 1.0)
+    x = np.where(y < 0.0, y / knots.d[0], xk + wk * xi)
+    return np.where(y > 1.0, 1.0 + (y - 1.0) / knots.d[-1], x)
+
+
+def test_grid_cells_are_narrower_than_the_narrowest_bin():
+    """So a grid cell holds at most one knot, which the bin lookup needs."""
+    assert 1.0 / sp._GRID < sp.MIN_BIN
+
+
 @pytest.mark.parametrize("n_knots", [2, 5, 20, 300])
 def test_bin_index_matches_clipped_searchsorted(n_knots, rng):
-    """Random points, every knot, both float neighbours of every knot, 0 and 1;
-    300 knots need an index wider than uint8."""
+    """On x and y knots of random splines, at the points of ``knot_probes``;
+    parameters scaled by 3 shrink bins to MIN_BIN, and 300 knots need an
+    index wider than uint8."""
     spline = RqsSpline(n_knots)
-    theta = rng.normal(0.0, 1.0, spline.n_params)
-    edges = sp.make_knots(spline, theta).x
-    v = np.concatenate([rng.uniform(0.0, 1.0, 5000), edges, np.nextafter(edges, -np.inf),
-                        np.nextafter(edges, np.inf), [0.0, 1.0]])
-    v = np.clip(v, 0.0, 1.0)
-    expected = np.clip(np.searchsorted(edges, v, "right") - 1, 0, spline.n_bins - 1)
-    k = sp._bin_index(edges, v)
-    assert k.dtype == (np.uint8 if spline.n_bins <= 256 else np.uint16)
-    assert np.array_equal(k, expected)
-    assert np.array_equal(sp.forward(spline, theta, v)[2].k, expected)
+    for scale in (1.0, 1.0, 1.0, 3.0, 3.0, 3.0):
+        theta = scale * rng.normal(0.0, 1.0, spline.n_params)
+        kn = sp.make_knots(spline, theta)
+        for edges, table in ((kn.x, kn.x_grid), (kn.y, kn.y_grid)):
+            v = np.clip(knot_probes(rng, edges), 0.0, 1.0)
+            expected = np.clip(np.searchsorted(edges, v, "right") - 1, 0, spline.n_bins - 1)
+            k = sp._bin_index(table, v)
+            assert k.dtype == (np.uint8 if spline.n_bins <= 256 else np.uint16)
+            assert np.array_equal(k, expected)
+        v = np.clip(knot_probes(rng, kn.x), 0.0, 1.0)
+        expected = np.clip(np.searchsorted(kn.x, v, "right") - 1, 0, spline.n_bins - 1)
+        assert np.array_equal(sp.forward(spline, theta, v)[2].k, expected)
+
+
+@pytest.mark.parametrize("n_knots", [2, 5, 20, 300])
+def test_inverse_matches_searchsorted_reference_bitwise(n_knots, rng):
+    """In the bins, on and beside every y knot, and in both tails, with
+    parameters at scale 1 and 3."""
+    spline = RqsSpline(n_knots)
+    for scale in (1.0, 1.0, 1.0, 3.0, 3.0, 3.0):
+        theta = scale * rng.normal(0.0, 1.0, spline.n_params)
+        kn = sp.make_knots(spline, theta)
+        y = knot_probes(rng, kn.y, -0.3, 1.3)
+        assert np.array_equal(sp.inverse(spline, theta, y), searchsorted_inverse(kn, y))
+
+
+def test_nan_inputs_and_parameters_give_nan(spline10, theta10):
+    """A NaN input gives NaN and leaves the other entries alone; NaN width and
+    height logits make every knot NaN, so every input in [0, 1] gives NaN.
+    Nothing raises or warns."""
+    v = np.array([-0.5, 0.0, 0.3, np.nan, 1.0, 1.5])
+    finite = ~np.isnan(v)
+    y, ld, _ = sp.forward(spline10, theta10, v)
+    y_ref, ld_ref, _ = sp.forward(spline10, theta10, v[finite])
+    assert np.isnan(y[3]) and np.isnan(ld[3])
+    assert np.array_equal(y[finite], y_ref) and np.array_equal(ld[finite], ld_ref)
+    x = sp.inverse(spline10, theta10, v)
+    assert np.isnan(x[3]) and np.array_equal(x[finite], sp.inverse(spline10, theta10, v[finite]))
+
+    theta = theta10.copy()
+    theta[:2 * spline10.n_bins] = np.nan
+    inside = ~((v < 0.0) | (v > 1.0))
+    y, ld, _ = sp.forward(spline10, theta, v)
+    x = sp.inverse(spline10, theta, v)
+    for out in (y, ld, x):
+        assert np.all(np.isnan(out[inside])) and np.all(np.isfinite(out[~inside]))
 
 
 def test_inv_jac_t_divides_by_the_derivative(spline10, theta10, rng):
