@@ -191,7 +191,7 @@ def _lse(a, axis):
     return (m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
-def _fb_forward(log_pi, log_a, phi, real):
+def _fb_forward(log_pi, log_a, phi, real, pairwise=True):
     """Scaled forward-backward (Rabiner 1989) in probability space, with
     per-step skip masks.
 
@@ -207,7 +207,8 @@ def _fb_forward(log_pi, log_a, phi, real):
 
     The recursion runs step-major, on (N, K, S) arrays.  Returns the
     marginals (S, N, K) and pairwise marginals (S, N-1, K, K) as views of
-    them, log Z (S,) and the tape that ``_fb_vjp`` reads.
+    them, log Z (S,) and the tape that ``_fb_vjp`` reads; without
+    ``pairwise`` the pairwise marginals and the tape are ``None``.
     """
     s, n, k = phi.shape
     e = phi.transpose(1, 2, 0).copy()
@@ -237,6 +238,8 @@ def _fb_forward(log_pi, log_a, phi, real):
         b = np.where(real[i], p @ v[i], v[i])
         np.multiply(alpha[i], b, out=mu[i])
     log_z = np.log(c).sum(axis=0) + top.sum(axis=0)
+    if not pairwise:
+        return mu.transpose(2, 0, 1), None, log_z, None
     xi = alpha[:-1, :, None] * v[:, None]
     xi *= p[:, :, None]
     # a skip's pairwise is diag(mu_i): its off-diagonal is 0
@@ -587,7 +590,7 @@ def posterior_curves(q_model: TppModel, params: MmppParams, obs: np.ndarray,
     boundaries = np.concatenate([np.zeros((s, 1)), clipped], axis=1)
     phi, _, _ = _segment_potentials(obs, boundaries, params)
     real = t_ext[:, :n - 1] < q_model.horizon
-    mu, _, _, _ = _fb_forward(np.log(params.pi), np.log(params.A), phi, real)
+    mu, _, _, _ = _fb_forward(np.log(params.pi), np.log(params.A), phi, real, pairwise=False)
     grid = grid_times(q_model.horizon, n_grid)
     out = np.zeros((n_grid, params.n_states))
     for r in range(s):

@@ -74,6 +74,9 @@ class Knots(NamedTuple):
     sig_d: np.ndarray
     x_grid: tuple   # bin lookup tables of x and y, see _grid_table
     y_grid: tuple
+    a0: np.ndarray  # (K-1,) inverse's per-bin constants h (s - d_lo), h d_lo and -s
+    b0: np.ndarray
+    neg_s: np.ndarray
 
 
 class Residuals(NamedTuple):
@@ -117,7 +120,8 @@ def make_knots(spline: RqsSpline, theta: np.ndarray) -> Knots:
     d = MIN_DERIV + np.logaddexp(0.0, td + _DERIV_SHIFT)
     s = h / w
     mm = d[1:] + d[:-1] - 2.0 * s
-    return Knots(x, y, d, w, h, s, mm, sm_w, sm_h, sig_d, _grid_table(x), _grid_table(y))
+    return Knots(x, y, d, w, h, s, mm, sm_w, sm_h, sig_d, _grid_table(x), _grid_table(y),
+                 h * (s - d[:-1]), h * d[:-1], -s)
 
 
 def _cell(v):
@@ -179,11 +183,13 @@ def _by_blocks(fn, *arrays):
     return [a.reshape(shape) for a in outs]
 
 
-def forward(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, knots: Knots | None = None):
+def forward(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, knots: Knots | None = None,
+            keep: bool = True):
     """Evaluate the spline and the log of its derivative, tails included.
 
     Returns ``(y, logderiv, residuals)``; the residuals let ``vjp`` and
-    ``inv_jac_t`` skip the bin search and the rational function.
+    ``inv_jac_t`` skip the bin search and the rational function.  Without
+    ``keep`` they are ``None`` and only y and logderiv are written out.
     """
     kn = knots if knots is not None else make_knots(spline, theta)
     x = np.asarray(x, dtype=np.float64)
@@ -202,9 +208,9 @@ def forward(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, knots: Knots | 
         q = kn.d[1:][k] * xi * xi + 2.0 * s * u + dlo * (1.0 - xi) ** 2
         y = kn.y[k] + kn.h[k] * num / den
         ld = two_log_s[k] + np.log(q) - 2.0 * np.log(den)
-        return k_small, xi, num, den, q, y, ld
+        return (y, ld, k_small, xi, num, den, q) if keep else (y, ld)
 
-    k, xi, num, den, q, y, ld = _by_blocks(block, x)
+    y, ld, *rec = _by_blocks(block, x)
     lo = x < 0.0
     hi = x > 1.0
     d0, d1 = kn.d[0], kn.d[-1]
@@ -218,26 +224,23 @@ def forward(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, knots: Knots | 
         ld[hi] = np.log(d1)
     else:
         hi = None
-    return y, ld, Residuals(k, xi, num, den, q, lo, hi)
+    return y, ld, Residuals(*rec, lo, hi) if keep else None
 
 
 def inverse(spline: RqsSpline, theta: np.ndarray, y: np.ndarray, knots: Knots | None = None) -> np.ndarray:
     """Closed-form inverse (quadratic-formula root per bin, linear tails)."""
     kn = knots if knots is not None else make_knots(spline, theta)
     y = np.asarray(y, dtype=np.float64)
-    # per bin: a = a0 + r mm, b = b0 - r mm, c = -s r with r = y - y_k
-    a0 = kn.h * (kn.s - kn.d[:-1])
-    b0 = kn.h * kn.d[:-1]
-    neg_s = -kn.s
 
     def block(v):
         yc = np.clip(v, 0.0, 1.0)
         k = _bin_index(kn.y_grid, yc).astype(np.intp)
         r = yc - kn.y[k]
+        # per bin: a = a0 + r mm, b = b0 - r mm, c = -s r with r = y - y_k
         r_mm = r * kn.mm[k]
-        a = a0[k] + r_mm
-        b = b0[k] - r_mm
-        c = neg_s[k] * r
+        a = kn.a0[k] + r_mm
+        b = kn.b0[k] - r_mm
+        c = kn.neg_s[k] * r
         disc = np.maximum(b * b - 4.0 * a * c, 0.0)
         xi = 2.0 * c / (-b - np.sqrt(disc))
         xi = np.clip(xi, 0.0, 1.0)

@@ -4,10 +4,11 @@ A chain maps a batch of non-decreasing time rows to non-decreasing rows of
 cumulative intensity, together with the log-diagonal of the (lower
 triangular) Jacobian.  Every layer has a closed-form forward, inverse and
 vector-Jacobian product, so densities, samples and gradients never touch an
-autodiff framework.  A layer's ``forward`` returns its output, its
-log-diagonal and a record its ``vjp`` and ``inv_jac_t`` can reuse (a
+autodiff framework.  A layer's ``forward(x, p, keep)`` returns its output,
+its log-diagonal and a record its ``vjp`` and ``inv_jac_t`` can reuse (a
 spline's bins and intermediates, the sigmoid bridge's output; ``None`` for
-every other layer).
+every other layer, and for a spline run without ``keep``, which then writes
+out only its output and log-diagonal).
 
 Padding semantics: rows are padded by repeating the horizon, which makes the
 padded inter-event gaps exactly zero.  Gap-space layers pin those zero gaps
@@ -101,8 +102,8 @@ class Spline:
     def n_params(self) -> int:
         return self.rqs.n_params
 
-    def forward(self, x, p):
-        return sp.forward(self.rqs, p, x)
+    def forward(self, x, p, keep=True):
+        return sp.forward(self.rqs, p, x, keep=keep)
 
     def inverse(self, y, p):
         return sp.inverse(self.rqs, p, y)
@@ -175,7 +176,7 @@ class BlockDiag:
             out[start:stop] = res.reshape(k, width)[:, left:left + n]
         return out.reshape(shape)
 
-    def forward(self, x, p):
+    def forward(self, x, p, keep=True):
         b = self.matrix(p)
         y = self._by_row_blocks(lambda c: c @ b.T, x)
         pos = (np.arange(x.shape[-1]) - self.offset) % self.size
@@ -218,7 +219,7 @@ class Scale:
     force_inv = True
     n_params = 1
 
-    def forward(self, x, p):
+    def forward(self, x, p, keep=True):
         s = np.exp(p[0])
         return s * x, np.full_like(x, p[0]), None
 
@@ -249,7 +250,7 @@ class FixedScale:
         if self.value <= 0:
             raise ValueError(f"scale must be > 0, got {self.value}")
 
-    def forward(self, x, p):
+    def forward(self, x, p, keep=True):
         return self.value * x, np.full_like(x, np.log(self.value)), None
 
     def inverse(self, y, p):
@@ -290,7 +291,7 @@ class Bridge:
     def force_inv(self):
         return self.kind != "sigmoid"  # sigmoid input lives in R
 
-    def forward(self, x, p):
+    def forward(self, x, p, keep=True):
         k = self.kind
         if k == "psi":
             if x.size and float(x.min()) < -1e-9:
@@ -360,7 +361,7 @@ class Cumsum:
     force_fwd = False
     force_inv = False
 
-    def forward(self, x, p):
+    def forward(self, x, p, keep=True):
         return np.cumsum(x, axis=-1), np.zeros_like(x), None
 
     def inverse(self, y, p):
@@ -382,7 +383,7 @@ class Diff:
     force_fwd = True   # zero gaps stay exactly zero
     force_inv = False
 
-    def forward(self, x, p):
+    def forward(self, x, p, keep=True):
         return pairwise_diff(x), np.zeros_like(x), None
 
     def inverse(self, y, p):
@@ -501,7 +502,8 @@ def _validate_rows(x, what):
 
 def _run_forward(times, spec, store, validate, keep=False):
     """Forward pass; with ``keep`` the layer inputs and forward records are
-    returned for a VJP, otherwise each is dropped once its layer has run."""
+    returned for a VJP; otherwise no spline builds a record and each input
+    is dropped once its layer has run."""
     x = np.atleast_2d(np.asarray(times, dtype=np.float64))
     if keep:
         x = x.copy()    # the cache must not alias the caller's array
@@ -512,7 +514,7 @@ def _run_forward(times, spec, store, validate, keep=False):
     pin = None
     for layer in spec.layers:
         p = _params_of(layer, store)
-        y, ld, res = layer.forward(x, p)
+        y, ld, res = layer.forward(x, p, keep)
         if isinstance(layer, Diff):
             pin = y == 0.0
             if not pin.any():

@@ -300,6 +300,10 @@ def test_scaled_forward_backward_matches_log_space(case):
         g_mu = rng.normal(size=mu.shape)
         g_xi = rng.normal(size=xi.shape)
         got = mjp._fb_vjp(tape, g_mu, g_xi)
+        mu_bare, no_xi, lz_bare, no_tape = mjp._fb_forward(log_pi, log_a, phi, real,
+                                                           pairwise=False)
+    assert np.array_equal(mu_bare, mu) and np.array_equal(lz_bare, log_z)
+    assert no_xi is None and no_tape is None
     alpha, beta, mu_ref, xi_ref, lz_ref = logspace_fb_forward(log_pi, log_a, phi, real)
     want = logspace_fb_vjp(log_pi, log_a, phi, real, alpha, beta, mu_ref, xi_ref, lz_ref,
                            g_mu, g_xi)

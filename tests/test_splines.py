@@ -261,6 +261,8 @@ def test_blocked_evaluation_matches_small_calls(spline10, theta10, rng):
     x = rng.uniform(-0.1, 1.1, (3, sp._BLOCK + 5))
     gy, gl = rng.normal(0, 1, x.shape), rng.normal(0, 1, x.shape)
     y, ld, res = sp.forward(spline10, theta10, x)
+    y_bare, ld_bare, no_res = sp.forward(spline10, theta10, x, keep=False)
+    assert np.array_equal(y_bare, y) and np.array_equal(ld_bare, ld) and no_res is None
     gx, gth = sp.vjp(spline10, theta10, x, gy, gl, res=res)
     x_back = sp.inverse(spline10, theta10, y)
     gth_parts = np.zeros_like(gth)

@@ -402,6 +402,26 @@ def test_chain_vjp_matches_finite_differences(rng, kind):
         assert abs(num - g[i]) / denom < 1e-5, f"{kind} param {i}"
 
 
+def test_forward_without_cache_builds_no_spline_records(rng, monkeypatch):
+    """``compose_forward`` keeps nothing, so no spline builds a record; its
+    outputs equal the cached pass's bit for bit, tails and padding included."""
+    model = make_model("tritpp", horizon=10.0, seed=8, noise=0.4)
+    times = np.full((3, 26), 13.0)
+    for r, n in enumerate((25, 12, 4)):
+        times[r, :n] = np.sort(rng.uniform(0.0, 13.0, n))
+    cache = tr.compose_forward_cached(times, model.spec, model.params)
+    assert cache.pins[-1] is not None
+    assert any(res.hi is not None for layer, res in zip(model.spec.layers, cache.residuals)
+               if isinstance(layer, tr.Spline))
+
+    def no_records(*args):
+        raise AssertionError("compose_forward built a spline record")
+
+    monkeypatch.setattr(tr.sp, "Residuals", no_records)
+    z, ld = tr.compose_forward(times, model.spec, model.params)
+    assert np.array_equal(z, cache.z) and np.array_equal(ld, cache.logdiag)
+
+
 def test_chain_vjp_padded_batch_in_spline_tails(rng):
     """Times past the horizon push the first spline into its upper tail and
     padding pins the trailing zero gaps; the kept forward records give the
