@@ -166,10 +166,33 @@ def test_observations_are_validated():
             mjp.posterior_curves(q, p, bad, n_grid=10, n_samples=4)
         with pytest.raises(ValueError, match="observations"):
             mjp.elbo_relaxed(q, p, bad, 4, gamma=0.1)
+        with pytest.raises(ValueError, match="observations"):
+            mjp.rao_teh_posterior(bad, p, 5.0, n_samples=2, burn_in=0, n_grid=10)
+        with pytest.raises(ValueError, match="observations"):
+            mjp.grid_posterior(p, bad, 5.0, n_cells=10)
     edges = np.array([0.0, 2.5, 5.0])
     _, lz = mjp.forward_backward(edges, np.array([2.0]), p, 5.0)
     assert np.isfinite(lz)
     assert np.isfinite(mjp.elbo_relaxed(q, p, edges, 4, gamma=0.1, want_grads=False).value)
+    assert np.isfinite(mjp.rao_teh_posterior(edges, p, 5.0, n_samples=2, burn_in=0,
+                                             n_grid=10)).all()
+    assert np.isfinite(mjp.grid_posterior(p, edges, 5.0, n_cells=10)[1])
+
+
+@pytest.mark.parametrize("call, kwargs, name", [
+    ("posterior_curves", {"n_grid": 0}, "n_grid"),
+    ("posterior_curves", {"n_samples": 0}, "n_samples"),
+    ("rao_teh_posterior", {"n_samples": 0}, "n_samples"),
+    ("rao_teh_posterior", {"burn_in": -1}, "burn_in"),
+    ("rao_teh_posterior", {"n_grid": 0}, "n_grid"),
+])
+def test_occupancy_arguments_are_validated(call, kwargs, name):
+    """Each bad argument raises a ValueError that names it, before any sampling."""
+    p = two_state_params()
+    obs = np.array([1.0, 2.0])
+    args = (_small_q(5.0), p, obs) if call == "posterior_curves" else (obs, p, 5.0)
+    with pytest.raises(ValueError, match=name):
+        getattr(mjp, call)(*args, **kwargs)
 
 
 def logspace_fb_forward(log_pi, log_a, phi, real):
@@ -600,6 +623,58 @@ def test_posterior_curves_run_no_forward_pass(monkeypatch):
     curves = mjp.posterior_curves(_small_q(5.0), p, obs, n_grid=20, n_samples=16, seed=4)
     assert curves.shape == (20, 2)
     assert np.allclose(curves.sum(axis=1), 1.0)
+
+
+def looped_posterior_curves(q_model, params, obs, n_grid, n_samples, seed):
+    """posterior_curves with one searchsorted per row: the reference for its
+    pooled grid lookup."""
+    t_ext, _ = tpp.draw_extended(q_model, n_samples, seed)
+    clipped = np.minimum(t_ext, q_model.horizon)
+    s, n = t_ext.shape
+    boundaries = np.concatenate([np.zeros((s, 1)), clipped], axis=1)
+    phi, _, _ = mjp._segment_potentials(np.asarray(obs, dtype=np.float64), boundaries, params)
+    real = t_ext[:, :n - 1] < q_model.horizon
+    mu, _, _, _ = mjp._fb_forward(np.log(params.pi), np.log(params.A), phi, real,
+                                  pairwise=False)
+    grid = mjp.grid_times(q_model.horizon, n_grid)
+    out = np.zeros((n_grid, params.n_states))
+    for r in range(s):
+        seg = np.clip(np.searchsorted(clipped[r], grid, side="right"), 0, n - 1)
+        out += mu[r, seg]
+    return out / s
+
+
+def test_posterior_curves_pooled_lookup_matches_row_loop(monkeypatch):
+    """Crafted draws: times on grid points (n_grid=10 puts them at 0.25 + 0.5 j),
+    ties, rows with every time >= T, a single column, and random rows."""
+    p = two_state_params()
+    q = _small_q(5.0)
+    obs = np.array([0.25, 0.6, 2.0, 2.0, 4.75])
+    crafted = [
+        np.array([[0.25, 0.75, 0.75, 2.0, 4.75, 5.0],
+                  [0.1, 0.1, 0.1, 5.0, 6.0, 7.0],
+                  [5.0, 5.5, 6.0, 7.0, 8.0, 9.0],
+                  [4.75, 4.75, 4.75, 4.75, 4.75, 5.2],
+                  [0.0, 2.25, 2.25, 3.0, 4.9, 5.0],
+                  [5.0, 5.0, 5.0, 5.0, 5.0, 5.0]]),
+        np.array([[5.0], [7.5], [5.0]]),
+        np.array([[0.25, 5.0], [5.5, 6.0]]),
+        # ends before T, which draw_extended never returns: both cap at the last segment
+        np.array([[0.25, 0.75, 2.0], [1.0, 2.0, 5.0]]),
+    ]
+    rng = np.random.default_rng(4)
+    rand = np.sort(rng.uniform(0.0, 6.0, (40, 25)), axis=1)
+    rand[:, -1] = np.maximum(rand[:, -1], 5.0)
+    rand[::3, 4] = rand[::3, 3]                              # ties
+    rand[1::4, :3] = mjp.grid_times(5.0, 10)[[2, 5, 9]]     # times on grid points
+    rand.sort(axis=1)
+    crafted.append(rand)
+    for t_ext in crafted:
+        monkeypatch.setattr(tpp, "draw_extended", lambda m, b, s, t=t_ext: (t.copy(), None))
+        for n_grid in (10, 7, 1):
+            got = mjp.posterior_curves(q, p, obs, n_grid=n_grid, n_samples=len(t_ext))
+            want = looped_posterior_curves(q, p, obs, n_grid, len(t_ext), 0)
+            assert np.array_equal(got, want), (t_ext.shape, n_grid)
 
 
 def test_rao_teh_k1_occupancy():
