@@ -698,6 +698,8 @@ def grid_posterior(params: MmppParams, obs: np.ndarray, horizon: float, n_cells:
     effective generator; within-cell state changes are the only approximation.
     Returns (occupancy curves at the cell centers, log evidence).
     """
+    if n_cells < 1:
+        raise ValueError(f"n_cells must be >= 1, got {n_cells}")
     obs = _checked_obs(obs, horizon)
     k = params.n_states
     dt = horizon / n_cells

@@ -163,37 +163,47 @@ def _bin_index(table, v):
     return first[c] + (v >= knot[c])
 
 
-def _by_blocks(fn, *arrays):
+def _by_blocks(fn, *arrays, out=None):
     """Apply ``fn`` to same-shaped ``arrays`` in blocks of at most ``_BLOCK`` elements.
 
     ``fn`` maps 1-D blocks to a tuple of arrays of the same length, element
-    by element; the results are returned shaped like the inputs.
+    by element; the results are returned shaped like the inputs.  The first
+    result is written into ``out`` when it is given (a C-contiguous array of
+    that shape), which may be one of ``arrays``: a block is read in full
+    before its results are written.
     """
+    if out is None and arrays[0].ndim == 1 and arrays[0].size <= _BLOCK:
+        return fn(*arrays)     # one 1-D block, e.g. a column of SequentialInverter
     shape = arrays[0].shape
     flat = [a.reshape(-1) for a in arrays]
     n = flat[0].size
     first = fn(*(a[:_BLOCK] for a in flat))
-    if n <= _BLOCK:
+    if n <= _BLOCK and out is None:
         return [a.reshape(shape) for a in first]
-    outs = [np.empty(n, dtype=a.dtype) for a in first]
+    outs = [] if out is None else [out]
+    outs += [np.empty(shape, dtype=a.dtype) for a in first[len(outs):]]
+    flat_outs = [o.reshape(-1, copy=False) for o in outs]
     for start in range(0, n, _BLOCK):
         parts = first if start == 0 else fn(*(a[start:start + _BLOCK] for a in flat))
-        for out, part in zip(outs, parts):
-            out[start:start + _BLOCK] = part
-    return [a.reshape(shape) for a in outs]
+        for o, part in zip(flat_outs, parts):
+            o[start:start + _BLOCK] = part
+    return outs
 
 
 def forward(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, knots: Knots | None = None,
-            keep: bool = True):
+            keep: bool = True, out: np.ndarray | None = None):
     """Evaluate the spline and the log of its derivative, tails included.
 
     Returns ``(y, logderiv, residuals)``; the residuals let ``vjp`` and
     ``inv_jac_t`` skip the bin search and the rational function.  Without
     ``keep`` they are ``None`` and only y and logderiv are written out.
+    ``y`` is written into ``out`` when it is given, which may be ``x``.
     """
     kn = knots if knots is not None else make_knots(spline, theta)
     x = np.asarray(x, dtype=np.float64)
     two_log_s = 2.0 * np.log(kn.s)
+    d0, d1 = kn.d[0], kn.d[-1]
+    log_d0, log_d1 = np.log(d0), np.log(d1)
 
     def block(v):
         xc = np.clip(v, 0.0, 1.0)
@@ -208,29 +218,33 @@ def forward(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, knots: Knots | 
         q = kn.d[1:][k] * xi * xi + 2.0 * s * u + dlo * (1.0 - xi) ** 2
         y = kn.y[k] + kn.h[k] * num / den
         ld = two_log_s[k] + np.log(q) - 2.0 * np.log(den)
-        return (y, ld, k_small, xi, num, den, q) if keep else (y, ld)
+        # linear tails
+        lo = v < 0.0
+        hi = v > 1.0
+        if lo.any():
+            y[lo] = d0 * v[lo]
+            ld[lo] = log_d0
+        if hi.any():
+            y[hi] = 1.0 + d1 * (v[hi] - 1.0)
+            ld[hi] = log_d1
+        return (y, ld, k_small, xi, num, den, q, lo, hi) if keep else (y, ld)
 
-    y, ld, *rec = _by_blocks(block, x)
-    lo = x < 0.0
-    hi = x > 1.0
-    d0, d1 = kn.d[0], kn.d[-1]
-    if lo.any():
-        y[lo] = d0 * x[lo]
-        ld[lo] = np.log(d0)
-    else:
-        lo = None
-    if hi.any():
-        y[hi] = 1.0 + d1 * (x[hi] - 1.0)
-        ld[hi] = np.log(d1)
-    else:
-        hi = None
-    return y, ld, Residuals(*rec, lo, hi) if keep else None
+    y, ld, *rec = _by_blocks(block, x, out=out)
+    if not keep:
+        return y, ld, None
+    lo, hi = (m if m.any() else None for m in rec[-2:])
+    return y, ld, Residuals(*rec[:-2], lo, hi)
 
 
-def inverse(spline: RqsSpline, theta: np.ndarray, y: np.ndarray, knots: Knots | None = None) -> np.ndarray:
-    """Closed-form inverse (quadratic-formula root per bin, linear tails)."""
+def inverse(spline: RqsSpline, theta: np.ndarray, y: np.ndarray, knots: Knots | None = None,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """Closed-form inverse (quadratic-formula root per bin, linear tails).
+
+    The result is written into ``out`` when it is given, which may be ``y``.
+    """
     kn = knots if knots is not None else make_knots(spline, theta)
     y = np.asarray(y, dtype=np.float64)
+    d0, d1 = kn.d[0], kn.d[-1]
 
     def block(v):
         yc = np.clip(v, 0.0, 1.0)
@@ -244,16 +258,17 @@ def inverse(spline: RqsSpline, theta: np.ndarray, y: np.ndarray, knots: Knots | 
         disc = np.maximum(b * b - 4.0 * a * c, 0.0)
         xi = 2.0 * c / (-b - np.sqrt(disc))
         xi = np.clip(xi, 0.0, 1.0)
-        return (kn.x[k] + kn.w[k] * xi,)
+        x = kn.x[k] + kn.w[k] * xi
+        # linear tails
+        lo = v < 0.0
+        hi = v > 1.0
+        if lo.any():
+            x[lo] = v[lo] / d0
+        if hi.any():
+            x[hi] = 1.0 + (v[hi] - 1.0) / d1
+        return (x,)
 
-    x, = _by_blocks(block, y)
-    lo = y < 0.0
-    hi = y > 1.0
-    d0, d1 = kn.d[0], kn.d[-1]
-    if lo.any():
-        x[lo] = y[lo] / d0
-    if hi.any():
-        x[hi] = 1.0 + (y[hi] - 1.0) / d1
+    x, = _by_blocks(block, y, out=out)
     return x
 
 

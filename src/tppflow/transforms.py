@@ -4,11 +4,18 @@ A chain maps a batch of non-decreasing time rows to non-decreasing rows of
 cumulative intensity, together with the log-diagonal of the (lower
 triangular) Jacobian.  Every layer has a closed-form forward, inverse and
 vector-Jacobian product, so densities, samples and gradients never touch an
-autodiff framework.  A layer's ``forward(x, p, keep)`` returns its output,
-its log-diagonal and a record its ``vjp`` and ``inv_jac_t`` can reuse (a
-spline's bins and intermediates, the sigmoid bridge's output; ``None`` for
-every other layer, and for a spline run without ``keep``, which then writes
-out only its output and log-diagonal).
+autodiff framework.  A layer's ``forward(x, p, keep, out)`` returns its
+output, its log-diagonal and a record its ``vjp`` and ``inv_jac_t`` can reuse
+(a spline's bins and intermediates, the sigmoid bridge's output; ``None`` for
+every other layer, and for any layer run without ``keep``, when a spline
+writes out only its output and log-diagonal).  A constant log-diagonal is a
+read-only broadcast view.
+
+``forward`` and ``inverse`` take ``out`` in the sense of NumPy's ``out=``:
+the output is written there when it is given, and ``out`` may be the input
+itself.  ``compose_forward`` and ``compose_inverse`` copy the caller's array
+once and let every layer overwrite its input; ``compose_forward_cached``
+gives each layer a fresh output and keeps every layer's input.
 
 Padding semantics: rows are padded by repeating the horizon, which makes the
 padded inter-event gaps exactly zero.  Gap-space layers pin those zero gaps
@@ -23,7 +30,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from . import splines as sp
-from .splines import RqsSpline, reversed_cumsum, sigmoid
+from .splines import RqsSpline, _by_blocks, reversed_cumsum, sigmoid
 
 __all__ = [
     "DomainError",
@@ -65,12 +72,17 @@ class DomainError(ValueError):
 # primitive vector operations
 
 
-def pairwise_diff(x: np.ndarray) -> np.ndarray:
-    """Row-wise adjacent differences, first element kept; inverse of cumsum."""
+def pairwise_diff(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise adjacent differences, first element kept; inverse of cumsum.
+
+    Written into ``out`` when it is given, which may be ``x``.
+    """
     x = np.asarray(x, dtype=np.float64)
-    y = x.copy()
-    y[..., 1:] -= x[..., :-1]
-    return y
+    if out is None:
+        out = np.empty_like(x)
+    out[..., :1] = x[..., :1]
+    np.subtract(x[..., 1:], x[..., :-1], out=out[..., 1:])
+    return out
 
 
 def _diff_t(x: np.ndarray) -> np.ndarray:
@@ -102,11 +114,11 @@ class Spline:
     def n_params(self) -> int:
         return self.rqs.n_params
 
-    def forward(self, x, p, keep=True):
-        return sp.forward(self.rqs, p, x, keep=keep)
+    def forward(self, x, p, keep=True, out=None):
+        return sp.forward(self.rqs, p, x, keep=keep, out=out)
 
-    def inverse(self, y, p):
-        return sp.inverse(self.rqs, p, y)
+    def inverse(self, y, p, out=None):
+        return sp.inverse(self.rqs, p, y, out=out)
 
     def vjp(self, x, p, g_y, g_ld, res=None):
         return sp.vjp(self.rqs, p, x, g_y, g_ld, res=res)
@@ -149,14 +161,16 @@ class BlockDiag:
         b[np.tril_indices(h, -1)] = p[h:]
         return b
 
-    def _by_row_blocks(self, fn, *arrays):
+    def _by_row_blocks(self, fn, *arrays, out=None):
         """Apply ``fn`` to same-shaped ``arrays`` block by block, in row blocks.
 
         Each row block (at most ``_ROW_BLOCK`` elements, or one row if a row
         is longer) is copied into a reused buffer that pads every row with
         zeros to whole H-blocks, starting at ``offset``.  ``fn`` receives the
         buffers viewed as (rows * blocks, H) and returns an array of that
-        shape; the unpadded columns of its results form the output.
+        shape; the unpadded columns of its results form the output, written
+        into ``out`` when it is given (a C-contiguous array, which may be one
+        of ``arrays``: a row block is copied before its output is written).
         """
         shape = arrays[0].shape
         n, h = shape[-1], self.size
@@ -166,25 +180,26 @@ class BlockDiag:
         rows = [a.reshape(n_rows, n) for a in arrays]
         step = max(1, _ROW_BLOCK // max(width, 1))
         bufs = [np.zeros((min(step, n_rows), width)) for _ in arrays]
-        out = np.empty((n_rows, n))
+        out = np.empty(shape) if out is None else out
+        flat = out.reshape(n_rows, n, copy=False)
         for start in range(0, n_rows, step):
             stop = min(start + step, n_rows)
             k = stop - start
             for buf, r in zip(bufs, rows):
                 buf[:k, left:left + n] = r[start:stop]
             res = fn(*(buf[:k].reshape(-1, h) for buf in bufs))
-            out[start:stop] = res.reshape(k, width)[:, left:left + n]
-        return out.reshape(shape)
+            flat[start:stop] = res.reshape(k, width)[:, left:left + n]
+        return out
 
-    def forward(self, x, p, keep=True):
+    def forward(self, x, p, keep=True, out=None):
         b = self.matrix(p)
-        y = self._by_row_blocks(lambda c: c @ b.T, x)
         pos = (np.arange(x.shape[-1]) - self.offset) % self.size
-        return y, np.broadcast_to(p[:self.size][pos], x.shape), None
+        ld = np.broadcast_to(p[:self.size][pos], x.shape)
+        return self._by_row_blocks(lambda c: c @ b.T, x, out=out), ld, None
 
-    def inverse(self, y, p):
+    def inverse(self, y, p, out=None):
         b = self.matrix(p)
-        return self._by_row_blocks(lambda c: solve_triangular(b, c.T, lower=True).T, y)
+        return self._by_row_blocks(lambda c: solve_triangular(b, c.T, lower=True).T, y, out=out)
 
     def vjp(self, x, p, g_y, g_ld, res=None):
         b = self.matrix(p)
@@ -219,12 +234,11 @@ class Scale:
     force_inv = True
     n_params = 1
 
-    def forward(self, x, p, keep=True):
-        s = np.exp(p[0])
-        return s * x, np.full_like(x, p[0]), None
+    def forward(self, x, p, keep=True, out=None):
+        return np.multiply(np.exp(p[0]), x, out=out), np.broadcast_to(p[0], x.shape), None
 
-    def inverse(self, y, p):
-        return y * np.exp(-p[0])
+    def inverse(self, y, p, out=None):
+        return np.multiply(y, np.exp(-p[0]), out=out)
 
     def vjp(self, x, p, g_y, g_ld, res=None):
         s = np.exp(p[0])
@@ -250,17 +264,53 @@ class FixedScale:
         if self.value <= 0:
             raise ValueError(f"scale must be > 0, got {self.value}")
 
-    def forward(self, x, p, keep=True):
-        return self.value * x, np.full_like(x, np.log(self.value)), None
+    def forward(self, x, p, keep=True, out=None):
+        ld = np.broadcast_to(np.log(self.value), x.shape)
+        return np.multiply(self.value, x, out=out), ld, None
 
-    def inverse(self, y, p):
-        return y / self.value
+    def inverse(self, y, p, out=None):
+        return np.divide(y, self.value, out=out)
 
     def vjp(self, x, p, g_y, g_ld, res=None):
         return self.value * g_y, None
 
     def inv_jac_t(self, x, p, w, res=None):
         return w / self.value
+
+
+# elementwise pieces of the bridges; the *_forward ones are block functions of
+# ``splines._by_blocks`` returning (value, log-diagonal)
+
+
+def _clamped(v):
+    return np.clip(v, CLAMP, 1.0 - CLAMP)
+
+
+def _psi_inv_value(v):
+    return -np.log1p(-_clamped(v))
+
+
+def _logit_value(v):
+    vc = _clamped(v)
+    return np.log(vc) - np.log1p(-vc)
+
+
+def _sigmoid_forward(v):
+    # log sigmoid'(x) = log s + log(1 - s), free of cancellation
+    ax = np.abs(v)
+    return sigmoid(v), -ax - 2.0 * np.log1p(np.exp(-ax))
+
+
+def _psi_inv_forward(v):
+    y = _psi_inv_value(v)
+    return y, y
+
+
+def _logit_forward(v):
+    # each log once, for the value and the log-diagonal
+    xc = _clamped(v)
+    log_x, log_1mx = np.log(xc), np.log1p(-xc)
+    return log_x - log_1mx, -log_x - log_1mx
 
 
 @dataclass(frozen=True)
@@ -291,52 +341,47 @@ class Bridge:
     def force_inv(self):
         return self.kind != "sigmoid"  # sigmoid input lives in R
 
-    def forward(self, x, p, keep=True):
+    def forward(self, x, p, keep=True, out=None):
+        # the domain checks read the whole input before ``out`` (maybe x) is written
         k = self.kind
         if k == "psi":
             if x.size and float(x.min()) < -1e-9:
                 raise DomainError("psi", f"input must be >= 0, min was {float(x.min()):g}")
-            return -np.expm1(-x), -x, None
+            return *_by_blocks(lambda v: (-np.expm1(-v), -v), x, out=out), None
         if k == "sigmoid":
-            # log sigmoid'(x) = log s + log(1 - s), free of cancellation;
+            y, ld = _by_blocks(_sigmoid_forward, x, out=out)
             # s is also the record that vjp and inv_jac_t read
-            ax = np.abs(x)
-            s = sigmoid(x)
-            return s, -ax - 2.0 * np.log1p(np.exp(-ax)), s
+            return y, ld, (y if keep else None)
         if x.size:
             lo, hi = float(x.min()), float(x.max())
             if lo < -1e-9 or hi > 1.0 + 1e-9:
                 raise DomainError(k, f"input must lie in (0, 1), range was [{lo:g}, {hi:g}]")
-        xc = np.clip(x, CLAMP, 1.0 - CLAMP)
-        if k == "psi_inv":
-            y = -np.log1p(-xc)
-            return y, y, None
-        log_x, log_1mx = np.log(xc), np.log1p(-xc)
-        return log_x - log_1mx, -log_x - log_1mx, None
+        block = _psi_inv_forward if k == "psi_inv" else _logit_forward
+        return *_by_blocks(block, x, out=out), None
 
-    def inverse(self, y, p):
+    def inverse(self, y, p, out=None):
         k = self.kind
         if k == "psi":
-            yc = np.clip(y, CLAMP, 1.0 - CLAMP)
-            return -np.log1p(-yc)
-        if k == "psi_inv":
-            return -np.expm1(-y)
-        if k == "sigmoid":
-            yc = np.clip(y, CLAMP, 1.0 - CLAMP)
-            return np.log(yc) - np.log1p(-yc)
-        return sigmoid(y)
+            block = lambda v: (_psi_inv_value(v),)
+        elif k == "psi_inv":
+            block = lambda v: (-np.expm1(-v),)
+        elif k == "sigmoid":
+            block = lambda v: (_logit_value(v),)
+        else:
+            block = lambda v: (sigmoid(v),)
+        return _by_blocks(block, y, out=out)[0]
 
     def vjp(self, x, p, g_y, g_ld, res=None):
         k = self.kind
         if k == "psi":
             return g_y * np.exp(-x) - g_ld, None
         if k == "psi_inv":
-            d = 1.0 / (1.0 - np.clip(x, CLAMP, 1.0 - CLAMP))
+            d = 1.0 / (1.0 - _clamped(x))
             return (g_y + g_ld) * d, None
         if k == "sigmoid":
             s = sigmoid(x) if res is None else res
             return g_y * s * (1.0 - s) + g_ld * (1.0 - 2.0 * s), None
-        xc = np.clip(x, CLAMP, 1.0 - CLAMP)
+        xc = _clamped(x)
         return (g_y + g_ld * (2.0 * xc - 1.0)) / (xc * (1.0 - xc)), None
 
     def inv_jac_t(self, x, p, w, res=None):
@@ -344,11 +389,11 @@ class Bridge:
         if k == "psi":
             return w * np.exp(x)
         if k == "psi_inv":
-            return w * (1.0 - np.clip(x, CLAMP, 1.0 - CLAMP))
+            return w * (1.0 - _clamped(x))
         if k == "sigmoid":
             s = sigmoid(x) if res is None else res
             return w / (s * (1.0 - s))
-        xc = np.clip(x, CLAMP, 1.0 - CLAMP)
+        xc = _clamped(x)
         return w * xc * (1.0 - xc)
 
 
@@ -361,11 +406,11 @@ class Cumsum:
     force_fwd = False
     force_inv = False
 
-    def forward(self, x, p, keep=True):
-        return np.cumsum(x, axis=-1), np.zeros_like(x), None
+    def forward(self, x, p, keep=True, out=None):
+        return np.cumsum(x, axis=-1, out=out), np.broadcast_to(0.0, x.shape), None
 
-    def inverse(self, y, p):
-        return pairwise_diff(y)
+    def inverse(self, y, p, out=None):
+        return pairwise_diff(y, out=out)
 
     def vjp(self, x, p, g_y, g_ld, res=None):
         return reversed_cumsum(g_y), None
@@ -383,11 +428,11 @@ class Diff:
     force_fwd = True   # zero gaps stay exactly zero
     force_inv = False
 
-    def forward(self, x, p, keep=True):
-        return pairwise_diff(x), np.zeros_like(x), None
+    def forward(self, x, p, keep=True, out=None):
+        return pairwise_diff(x, out=out), np.broadcast_to(0.0, x.shape), None
 
-    def inverse(self, y, p):
-        return np.cumsum(y, axis=-1)
+    def inverse(self, y, p, out=None):
+        return np.cumsum(y, axis=-1, out=out)
 
     def vjp(self, x, p, g_y, g_ld, res=None):
         return _diff_t(g_y), None
@@ -501,12 +546,11 @@ def _validate_rows(x, what):
 
 
 def _run_forward(times, spec, store, validate, keep=False):
-    """Forward pass; with ``keep`` the layer inputs and forward records are
-    returned for a VJP; otherwise no spline builds a record and each input
-    is dropped once its layer has run."""
-    x = np.atleast_2d(np.asarray(times, dtype=np.float64))
-    if keep:
-        x = x.copy()    # the cache must not alias the caller's array
+    """Forward pass on a copy of ``times``.  With ``keep`` every layer writes
+    a fresh output, and the layer inputs and forward records are returned
+    for a VJP; otherwise every layer writes its output over its input and no
+    layer builds a record."""
+    x = np.array(times, dtype=np.float64, order="C", ndmin=2)
     if validate:
         _validate_rows(x, "times")
     logdiag = np.zeros_like(x)
@@ -514,7 +558,7 @@ def _run_forward(times, spec, store, validate, keep=False):
     pin = None
     for layer in spec.layers:
         p = _params_of(layer, store)
-        y, ld, res = layer.forward(x, p, keep)
+        y, ld, res = layer.forward(x, p, keep, out=None if keep else x)
         if isinstance(layer, Diff):
             pin = y == 0.0
             if not pin.any():
@@ -523,8 +567,8 @@ def _run_forward(times, spec, store, validate, keep=False):
         if pin is None:
             logdiag += ld
         else:
-            # y is a fresh array of this layer, so pin it in place; ld may be
-            # a read-only view.  logdiag starts at +0.0 and so is never -0.0:
+            # y is this pass's own array, so pin it in place; ld may be a
+            # read-only view.  logdiag starts at +0.0 and so is never -0.0:
             # skipping its pinned positions equals adding a pinned 0.0 there.
             if layer.force_fwd:
                 np.copyto(y, 0.0, where=pin)
@@ -534,6 +578,7 @@ def _run_forward(times, spec, store, validate, keep=False):
             residuals.append(res)
         pins.append(pin)
         x = y
+        del y, ld, res   # free this layer's log-diagonal before the next layer runs
         if isinstance(layer, Cumsum):
             pin = None
     return x, logdiag, inputs, pins, residuals
@@ -555,21 +600,23 @@ def compose_forward_cached(batch_times, spec, store, validate: bool = True) -> C
 
 
 def compose_inverse(z, spec: TransformSpec, store: ParamStore, validate: bool = True):
-    """Invert the chain: cumulative-intensity rows back to time rows."""
-    y = np.atleast_2d(np.asarray(z, dtype=np.float64)).copy()
+    """Invert the chain: cumulative-intensity rows back to time rows.
+
+    The pass copies ``z`` once and every layer writes its output over its
+    input.
+    """
+    y = np.array(z, dtype=np.float64, order="C", ndmin=2)
     if validate:
         _validate_rows(y, "z")
     pin = None
     for layer in reversed(spec.layers):
-        p = _params_of(layer, store)
-        x = layer.inverse(y, p)
+        layer.inverse(y, _params_of(layer, store), out=y)
         if isinstance(layer, Cumsum):
-            pin = x == 0.0
+            pin = y == 0.0
             if not pin.any():
                 pin = None
         if pin is not None and layer.force_inv:
-            x = np.where(pin, 0.0, x)
-        y = x
+            np.copyto(y, 0.0, where=pin)
         if isinstance(layer, Diff):
             pin = None
     return y
@@ -676,7 +723,7 @@ class SequentialInverter:
             elif isinstance(layer, Spline):
                 rqs, knots = self._const[i]
                 v = sp.inverse(rqs, None, v, knots=knots)
-            else:
-                v = layer.inverse(v.reshape(-1, 1), _params_of(layer, self.store)).ravel()
+            else:   # an elementwise layer
+                v = layer.inverse(v, _params_of(layer, self.store))
         self.pos += 1
         return v

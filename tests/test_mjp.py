@@ -185,12 +185,14 @@ def test_observations_are_validated():
     ("rao_teh_posterior", {"n_samples": 0}, "n_samples"),
     ("rao_teh_posterior", {"burn_in": -1}, "burn_in"),
     ("rao_teh_posterior", {"n_grid": 0}, "n_grid"),
+    ("grid_posterior", {"n_cells": 0}, "n_cells"),
 ])
 def test_occupancy_arguments_are_validated(call, kwargs, name):
     """Each bad argument raises a ValueError that names it, before any sampling."""
     p = two_state_params()
     obs = np.array([1.0, 2.0])
-    args = (_small_q(5.0), p, obs) if call == "posterior_curves" else (obs, p, 5.0)
+    args = {"posterior_curves": (_small_q(5.0), p, obs), "rao_teh_posterior": (obs, p, 5.0),
+            "grid_posterior": (p, obs, 5.0)}[call]
     with pytest.raises(ValueError, match=name):
         getattr(mjp, call)(*args, **kwargs)
 

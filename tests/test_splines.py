@@ -257,14 +257,27 @@ def test_inv_jac_t_divides_by_the_derivative(spline10, theta10, rng):
 
 def test_blocked_evaluation_matches_small_calls(spline10, theta10, rng):
     """Inputs spanning several evaluation blocks give, element for element,
-    what calls on short pieces give."""
+    what calls on short pieces give, and the same bits written over their
+    input as into a fresh array; both tails and every knot included."""
+    kn = sp.make_knots(spline10, theta10)
     x = rng.uniform(-0.1, 1.1, (3, sp._BLOCK + 5))
+    x[0, :kn.x.size] = kn.x
     gy, gl = rng.normal(0, 1, x.shape), rng.normal(0, 1, x.shape)
     y, ld, res = sp.forward(spline10, theta10, x)
+    assert res.lo is not None and res.hi is not None
     y_bare, ld_bare, no_res = sp.forward(spline10, theta10, x, keep=False)
     assert np.array_equal(y_bare, y) and np.array_equal(ld_bare, ld) and no_res is None
+    for keep in (True, False):
+        own = x.copy()
+        y_own, ld_own, _ = sp.forward(spline10, theta10, own, keep=keep, out=own)
+        assert y_own is own and np.array_equal(own, y) and np.array_equal(ld_own, ld)
     gx, gth = sp.vjp(spline10, theta10, x, gy, gl, res=res)
     x_back = sp.inverse(spline10, theta10, y)
+    y_knots = y.copy()
+    y_knots[2, :kn.y.size] = kn.y
+    own = y_knots.copy()
+    assert sp.inverse(spline10, theta10, own, out=own) is own
+    assert np.array_equal(own, sp.inverse(spline10, theta10, y_knots))
     gth_parts = np.zeros_like(gth)
     for r in range(3):
         for piece in np.array_split(np.arange(x.shape[1]), 7):

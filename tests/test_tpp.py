@@ -193,6 +193,39 @@ def test_sequential_sample_draws_match_one_draw_per_column(batch_size):
     assert np.array_equal(tpp.sequential_sample(model, batch_size, seed).extended, ref)
 
 
+def test_public_passes_do_not_write_their_inputs(rng):
+    """The uncached passes overwrite a copy of their input, layer by layer:
+    on read-only (and column-major) inputs every public pass runs and gives
+    the bits it gives on writable copies."""
+    model = make_model("tritpp", horizon=10.0, seed=5, noise=0.3, rate_init=3.0)
+    spec, params = model.spec, model.params
+    batch = random_batch(rng, 4, 10.0)
+    t = np.concatenate([tpp.sample(model, 4, seed=2).extended, batch.times], axis=1)
+    t.sort(axis=1)                         # past-horizon times reach the spline tails
+    z = tr.compose_forward(t, spec, params)[0]
+
+    def frozen(a):
+        a = np.asfortranarray(a)
+        a.setflags(write=False)
+        return a
+
+    def run(t, z, b):
+        cache = tr.compose_forward_cached(t, spec, params)
+        inverter = tr.SequentialInverter(spec, params, z.shape[0])
+        stepped = np.stack([inverter.step(z[:, j]) for j in range(z.shape[1])], axis=1)
+        return (*tr.compose_forward(t, spec, params), cache.z, cache.logdiag, *cache.inputs,
+                tr.compose_inverse(z, spec, params), tpp.inverse_map(model, z), stepped,
+                tpp.log_prob(model, b), *tpp.log_prob_grad(model, b))
+
+    read_only = run(frozen(t), frozen(z),
+                    PaddedBatch(frozen(batch.times), frozen(batch.mask), batch.horizon))
+    writable = run(t.copy(), z.copy(), PaddedBatch(batch.times.copy(), batch.mask.copy(),
+                                                   batch.horizon))
+    assert len(read_only) == len(writable)
+    for a, b in zip(read_only, writable):
+        assert np.array_equal(a, b)
+
+
 def test_relaxed_mask_values():
     assert tpp.relaxed_mask(np.array([3.0]), 3.0, 0.5)[0] == 0.5
     assert tpp.relaxed_mask(np.array([2.0]), 3.0, 0.1)[0] == pytest.approx(

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from conftest import ALL_KINDS, make_model, random_batch
+from tppflow import splines as sp
 from tppflow import transforms as tr
 from tppflow.tpp import _append_horizon
 
@@ -24,6 +27,15 @@ def test_cumsum_layer_matches_sequential_accumulation(rng):
     sequential = np.add.accumulate(x, axis=1)
     assert np.array_equal(tr.Cumsum().forward(x, None)[0], sequential)
     assert np.array_equal(tr.Diff().inverse(x, None), sequential)
+    # written over their input, both layers give the same bits in both directions
+    for layer in (tr.Cumsum(), tr.Diff()):
+        for method in ("forward", "inverse"):
+            fresh = getattr(layer, method)(x, None)
+            own = x.copy()
+            in_place = getattr(layer, method)(own, None, out=own)
+            if method == "forward":
+                fresh, in_place = fresh[0], in_place[0]
+            assert in_place is own and np.array_equal(own, fresh), (layer, method)
     # trailing zeros (padded gaps) leave every prefix sum unchanged
     padded = np.concatenate([x, np.zeros((2, 300))], axis=1)
     y = tr.Cumsum().forward(padded, None)[0]
@@ -79,12 +91,28 @@ def test_sigmoid_log_derivative_matches_direct_form(rng):
 
 
 def test_bridge_inverse_pairs(rng):
+    """Each bridge inverts its forward over several evaluation blocks, and
+    gives the same bits written over its input as into a fresh array, also
+    at and past the clamped edges of its domain."""
+    n = 3 * sp._BLOCK + 4          # with five edge values, three rows of 8195
+    unit_edges = [0.0, tr.CLAMP / 2, 0.5, 1.0 - tr.CLAMP / 2, 1.0]
+    edges = {"psi": [0.0, 1e-300, 1e-12, 40.0, 800.0], "psi_inv": unit_edges,
+             "sigmoid": [-800.0, -40.0, 0.0, 40.0, 800.0], "logit": unit_edges}
     for kind in ("psi", "psi_inv", "sigmoid", "logit"):
         layer = tr.Bridge(kind)
-        x = rng.uniform(0.05, 0.95, 100) if kind in ("psi_inv", "logit") \
-            else (rng.uniform(0.1, 5, 100) if kind == "psi" else rng.normal(0, 2, 100))
+        x = rng.uniform(0.05, 0.95, n) if kind in ("psi_inv", "logit") \
+            else (rng.uniform(0.1, 5, n) if kind == "psi" else rng.normal(0, 2, n))
         y, _, _ = layer.forward(x, None)
         assert np.abs(layer.inverse(y, None) - x).max() < 1e-12
+        x = np.concatenate([x, edges[kind]]).reshape(3, -1)
+        y, ld, _ = layer.forward(x, None)
+        for keep in (True, False):
+            own = x.copy()
+            y_own, ld_own, _ = layer.forward(own, None, keep=keep, out=own)
+            assert y_own is own and np.array_equal(own, y) and np.array_equal(ld_own, ld), kind
+        own = y.copy()
+        assert layer.inverse(own, None, out=own) is own
+        assert np.array_equal(own, layer.inverse(y, None)), kind
 
 
 def test_bridge_domain_errors():
@@ -204,6 +232,12 @@ def test_block_rows_bitwise_alone_batched_and_padded(rng, monkeypatch, row_block
 
     def outputs(x, g, gl, w):
         y, ld, _ = blk.forward(x, theta)
+        # written over their input, forward and inverse give the same bits
+        own = x.copy()
+        assert blk.forward(own, theta, out=own)[0] is own and np.array_equal(own, y)
+        own = x.copy()
+        assert blk.inverse(own, theta, out=own) is own
+        assert np.array_equal(own, blk.inverse(x, theta))
         g_x, g_p = blk.vjp(x, theta, g, gl)
         return (y, ld, g_x, blk.inverse(x, theta), blk.inv_jac_t(x, theta, w)), g_p
 
@@ -321,6 +355,26 @@ def test_padding_invariance_bitwise(rng):
     assert np.array_equal(z2[:, :times.shape[1]], z)
     assert np.array_equal(ld2[:, :times.shape[1]], ld)
     assert np.array_equal(z2[:, -1], z[:, -1])
+
+
+def test_uncached_passes_peak_at_few_batch_arrays(rng):
+    """The uncached passes write every layer's output over one array of their
+    own: at the bench chain and shape (100 rows of ~1400 events), the traced
+    peak of a forward pass stays within 5 batch-sized arrays (outputs
+    included) and that of an inverse pass within 3.5."""
+    model = make_model("tritpp", horizon=100.0, seed=1, noise=0.05, rate_init=14.0,
+                       n_knots=20, block_size=16, n_blocks=4)
+    times, _ = _append_horizon(random_batch(rng, 100, 100.0, 1300, 1500))
+    z = tr.compose_forward(times, model.spec, model.params)[0]
+    for run, x, bound in ((tr.compose_forward, times, 5.0), (tr.compose_inverse, z, 3.5)):
+        run(x, model.spec, model.params)
+        tracemalloc.start()
+        try:
+            run(x, model.spec, model.params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * x.nbytes, (run.__name__, peak / x.nbytes)
 
 
 def test_jacobian_determinant_small_n(rng):
