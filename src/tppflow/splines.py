@@ -163,6 +163,17 @@ def _bin_index(table, v):
     return first[c] + (v >= knot[c])
 
 
+def c_view(a, shape):
+    """``a`` reshaped to ``shape`` as a view, so that writes reach ``a``.
+
+    ``a`` must be C-contiguous, as every ``out`` of a layer is; otherwise
+    the reshape could be a copy and the writes would be lost.
+    """
+    if not a.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    return a.reshape(shape)
+
+
 def _by_blocks(fn, *arrays, out=None):
     """Apply ``fn`` to same-shaped ``arrays`` in blocks of at most ``_BLOCK`` elements.
 
@@ -172,17 +183,17 @@ def _by_blocks(fn, *arrays, out=None):
     that shape), which may be one of ``arrays``: a block is read in full
     before its results are written.
     """
-    if out is None and arrays[0].ndim == 1 and arrays[0].size <= _BLOCK:
-        return fn(*arrays)     # one 1-D block, e.g. a column of SequentialInverter
     shape = arrays[0].shape
+    if out is None and arrays[0].size <= _BLOCK:
+        if len(shape) == 1:    # e.g. a column of SequentialInverter: no reshapes
+            return fn(*arrays)
+        return [a.reshape(shape) for a in fn(*(a.reshape(-1) for a in arrays))]
     flat = [a.reshape(-1) for a in arrays]
     n = flat[0].size
     first = fn(*(a[:_BLOCK] for a in flat))
-    if n <= _BLOCK and out is None:
-        return [a.reshape(shape) for a in first]
     outs = [] if out is None else [out]
     outs += [np.empty(shape, dtype=a.dtype) for a in first[len(outs):]]
-    flat_outs = [o.reshape(-1, copy=False) for o in outs]
+    flat_outs = [c_view(o, -1) for o in outs]
     for start in range(0, n, _BLOCK):
         parts = first if start == 0 else fn(*(a[start:start + _BLOCK] for a in flat))
         for o, part in zip(flat_outs, parts):

@@ -181,7 +181,7 @@ class BlockDiag:
         step = max(1, _ROW_BLOCK // max(width, 1))
         bufs = [np.zeros((min(step, n_rows), width)) for _ in arrays]
         out = np.empty(shape) if out is None else out
-        flat = out.reshape(n_rows, n, copy=False)
+        flat = sp.c_view(out, (n_rows, n))
         for start in range(0, n_rows, step):
             stop = min(start + step, n_rows)
             k = stop - start

@@ -271,6 +271,8 @@ def test_blocked_evaluation_matches_small_calls(spline10, theta10, rng):
         own = x.copy()
         y_own, ld_own, _ = sp.forward(spline10, theta10, own, keep=keep, out=own)
         assert y_own is own and np.array_equal(own, y) and np.array_equal(ld_own, ld)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        sp.forward(spline10, theta10, x, out=np.empty(x.shape + (2,))[..., 0])
     gx, gth = sp.vjp(spline10, theta10, x, gy, gl, res=res)
     x_back = sp.inverse(spline10, theta10, y)
     y_knots = y.copy()

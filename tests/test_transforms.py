@@ -238,6 +238,8 @@ def test_block_rows_bitwise_alone_batched_and_padded(rng, monkeypatch, row_block
         own = x.copy()
         assert blk.inverse(own, theta, out=own) is own
         assert np.array_equal(own, blk.inverse(x, theta))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            blk.forward(x, theta, out=np.empty(x.shape + (2,))[..., 0])
         g_x, g_p = blk.vjp(x, theta, g, gl)
         return (y, ld, g_x, blk.inverse(x, theta), blk.inv_jac_t(x, theta, w)), g_p
 
