@@ -120,10 +120,8 @@ def cmd_train(cfg: RunConfig, seed: int, out: str) -> int:
     result = fit_mle(model, split, tc)
 
     os.makedirs(out, exist_ok=True)
-    train_batch = seqdata.pad_batch(split.train)
-    n_avg = max(float(train_batch.mask.sum() / train_batch.batch_size), 1.0)
     save_checkpoint(os.path.join(out, "checkpoint.json"), result.model, kind,
-                    extra={"n_avg": n_avg, "seed": seed, "data": data_path})
+                    extra={"n_avg": result.n_avg, "seed": seed, "data": data_path})
     _write_csv(os.path.join(out, "loss.csv"), ["epoch", "train_nll", "val_nll", "lr"],
                result.history)
     summary = [("epochs_run", float(len(result.history))),

@@ -396,19 +396,10 @@ def elbo_relaxed(q_model: TppModel, params: MmppParams, obs: np.ndarray, n_sampl
     sigmoids at temperature ``gamma``, which makes the estimate
     differentiable in the parameters of ``q_model`` (and of the model).
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if gamma <= 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
     obs = _checked_obs(obs, q_model.horizon)
     k = params.n_states
-
-    if draws is None:
-        t_ext, _ = tpp.draw_extended(q_model, n_samples, seed)
-    else:
-        t_ext = tpp.inverse_map(q_model, draws)
-    paths = tpp.prepare_paths(q_model, t_ext, gamma)
-    s, n = t_ext.shape
+    paths = tpp.draw_paths(q_model, n_samples, gamma, seed, draws)
+    s, n = paths.clipped.shape
     gates = paths.hard_mask if hard else paths.soft_mask
 
     boundaries = np.concatenate([np.zeros((s, 1)), paths.clipped], axis=1)
@@ -451,13 +442,13 @@ def elbo_relaxed(q_model: TppModel, params: MmppParams, obs: np.ndarray, n_sampl
     g_mu += (-deltas[:, :, None]) * (totals + params.lam)[None, None, :]
     g_mu += c_obs[:, :, None] * log_lam[None, None, :]
     g_mu[:, 0] += -(log_mu0 + 1.0) * (mu[:, 0] > 0)
-    gate_cot = np.zeros((s, max(n - 1, 0)))
+    gate_cot = np.zeros((s, n))
     if n > 1:
         g_xi = gates[:, :n - 1, None, None] * (log_a[None, None] - (log_cond + 1.0))
         g_xi = np.where(xi > 0, g_xi, 0.0)
         g_mu[:, :-1] += gates[:, :n - 1, None] * np.where(
             mu[:, :-1] > 0, xi.sum(axis=3) / np.where(mu[:, :-1] > 0, mu[:, :-1], 1.0), 0.0)
-        gate_cot += (xi * log_a[None, None]).sum(axis=(2, 3)) - ent_pair
+        gate_cot[:, :n - 1] += (xi * log_a[None, None]).sum(axis=(2, 3)) - ent_pair
     else:
         g_xi = np.zeros((s, 0, k, k))
 
@@ -487,18 +478,8 @@ def elbo_relaxed(q_model: TppModel, params: MmppParams, obs: np.ndarray, n_sampl
         pad = np.zeros((s, 1))
         g_sb = np.concatenate([-g_csoft, pad], axis=1) + np.concatenate([pad, g_csoft], axis=1)
         g_b += g_sb * sbp
-    g_tclip = g_b[:, 1:] * inv_s
-
-    g_mask = None
-    g_jext = -(gates * inv_s)
-    g_zbar = np.zeros((s, n))
-    g_zbar[:, -1] = inv_s
-    if not hard:
-        g_mask = -paths.jext.copy()
-        g_mask[:, :n - 1] += gate_cot
-        g_mask *= inv_s
-    grad_q = tpp.path_gradients(paths, g_mask=g_mask, g_tclip=g_tclip,
-                                g_jext=g_jext, g_zbar=g_zbar)
+    grad_q = tpp.path_gradients(paths, not hard, g_mask=None if hard else gate_cot,
+                                g_tclip=g_b[:, 1:])
     return ElboEstimate(value, grad_q, grad_pi, grad_a, grad_lam, per_sample)
 
 
@@ -589,12 +570,12 @@ def posterior_curves(q_model: TppModel, params: MmppParams, obs: np.ndarray,
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     grid = grid_times(q_model.horizon, n_grid)
-    t_ext, _ = tpp.draw_extended(q_model, n_samples, seed)
-    clipped = np.minimum(t_ext, q_model.horizon)
-    s, n = t_ext.shape
+    smp = tpp.sample(q_model, n_samples, seed)
+    clipped = smp.clipped
+    s, n = clipped.shape
     boundaries = np.concatenate([np.zeros((s, 1)), clipped], axis=1)
     phi, _, _ = _segment_potentials(obs, boundaries, params)
-    real = t_ext[:, :n - 1] < q_model.horizon
+    real = smp.hard_mask[:, :n - 1].astype(bool)
     mu, _, _, _ = _fb_forward(np.log(params.pi), np.log(params.A), phi, real, pairwise=False)
     # seg[r, g] = #(clipped[r] <= grid[g]), capped at n - 1: each time counts
     # from the first grid point at or above it on, so one pooled bincount of

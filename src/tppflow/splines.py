@@ -201,8 +201,8 @@ def _by_blocks(fn, *arrays, out=None):
     return outs
 
 
-def forward(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, knots: Knots | None = None,
-            keep: bool = True, out: np.ndarray | None = None):
+def forward(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, keep: bool = True,
+            out: np.ndarray | None = None):
     """Evaluate the spline and the log of its derivative, tails included.
 
     Returns ``(y, logderiv, residuals)``; the residuals let ``vjp`` and
@@ -210,7 +210,7 @@ def forward(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, knots: Knots | 
     ``keep`` they are ``None`` and only y and logderiv are written out.
     ``y`` is written into ``out`` when it is given, which may be ``x``.
     """
-    kn = knots if knots is not None else make_knots(spline, theta)
+    kn = make_knots(spline, theta)
     x = np.asarray(x, dtype=np.float64)
     two_log_s = 2.0 * np.log(kn.s)
     d0, d1 = kn.d[0], kn.d[-1]
@@ -284,16 +284,16 @@ def inverse(spline: RqsSpline, theta: np.ndarray, y: np.ndarray, knots: Knots | 
 
 
 def vjp(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, g_y: np.ndarray, g_ld: np.ndarray,
-        knots: Knots | None = None, res: Residuals | None = None):
+        res: Residuals | None = None):
     """Pull cotangents on (value, logderiv) back to (input, parameters).
 
     ``res`` is the record ``forward`` returned for this ``x``; without it
     the forward pass is run here.  All partial derivatives are analytic.
     Returns ``(g_x, g_theta)`` with ``g_theta`` flat like theta.
     """
-    kn = knots if knots is not None else make_knots(spline, theta)
+    kn = make_knots(spline, theta)
     if res is None:
-        res = forward(spline, theta, x, kn)[2]
+        res = forward(spline, theta, x)[2]
     x = np.asarray(x, dtype=np.float64)
     g_y = np.asarray(g_y, dtype=np.float64)
     g_ld = np.asarray(g_ld, dtype=np.float64)
@@ -368,15 +368,15 @@ def vjp(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, g_y: np.ndarray, g_
 
 
 def inv_jac_t(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, w: np.ndarray,
-              knots: Knots | None = None, res: Residuals | None = None):
+              res: Residuals | None = None):
     """Divide ``w`` by the spline's derivative at ``x`` (its Jacobian is diagonal).
 
     ``res`` is the record ``forward`` returned for this ``x``; without it
     the forward pass is run here.
     """
-    kn = knots if knots is not None else make_knots(spline, theta)
+    kn = make_knots(spline, theta)
     if res is None:
-        res = forward(spline, theta, x, kn)[2]
+        res = forward(spline, theta, x)[2]
     s = kn.s[res.k]
     out = w * res.den * res.den / (s * s * res.q)
     if res.lo is not None:

@@ -241,13 +241,28 @@ class SamplePaths:
 
 
 def prepare_paths(model: TppModel, t_ext, gamma: float | None) -> SamplePaths:
-    clipped = np.minimum(t_ext, model.horizon)
-    hard = (t_ext < model.horizon).astype(np.float64)
-    soft = relaxed_mask(t_ext, model.horizon, gamma) if gamma is not None else None
-    cache_ext = tr.compose_forward_cached(t_ext, model.spec, model.params, validate=False)
-    cache_clip = tr.compose_forward_cached(clipped, model.spec, model.params, validate=False)
-    return SamplePaths(model, np.asarray(t_ext, dtype=np.float64), clipped, hard, soft, gamma,
+    smp = _finish_sample(model, np.asarray(t_ext, dtype=np.float64))
+    soft = relaxed_mask(smp.extended, model.horizon, gamma) if gamma is not None else None
+    cache_ext = tr.compose_forward_cached(smp.extended, model.spec, model.params, validate=False)
+    cache_clip = tr.compose_forward_cached(smp.clipped, model.spec, model.params, validate=False)
+    return SamplePaths(model, smp.extended, smp.clipped, smp.hard_mask, soft, gamma,
                        cache_ext, cache_clip)
+
+
+def draw_paths(model: TppModel, n_samples: int, gamma: float, seed: int = 0,
+               draws: np.ndarray | None = None) -> SamplePaths:
+    """Check the arguments of a sampling loss, then draw ``n_samples`` rows
+    (or push the fixed unit-rate rows ``draws`` through the inverse map) and
+    prepare both forward passes over them."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if gamma <= 0:
+        raise ValueError(f"gamma must be > 0, got {gamma}")
+    if draws is None:
+        t_ext, _ = draw_extended(model, n_samples, seed)
+    else:
+        t_ext = inverse_map(model, draws)
+    return prepare_paths(model, t_ext, gamma)
 
 
 def path_log_density(paths: SamplePaths, relaxed: bool) -> np.ndarray:
@@ -256,34 +271,36 @@ def path_log_density(paths: SamplePaths, relaxed: bool) -> np.ndarray:
     return _row_log_density(m, paths.jext, paths.zbar)
 
 
-def path_gradients(paths: SamplePaths, g_mask=None, g_tclip=None, g_jext=None, g_zbar=None):
-    """Parameter gradient of a scalar functional of a sample.
+def path_gradients(paths: SamplePaths, relaxed: bool, g_mask=None, g_tclip=None):
+    """Parameter gradient of mean_r(f_r - log q_r) over the sampled rows.
 
-    The caller supplies cotangents w.r.t. the soft mask, the clipped times,
-    the extended log-Jacobian diagonal and the clipped forward map; the mask
-    derivative and reparametrization through the inverse map are handled
-    here.
+    log q_r is :func:`path_log_density` with the same ``relaxed``; its
+    cotangents are built here.  The caller passes only those of its own
+    per-row term f_r, not divided by the row count: ``g_mask`` w.r.t. the
+    soft mask (relaxed only) and ``g_tclip`` w.r.t. the clipped times, each
+    ``None`` where f_r does not depend on it.  The mean, the mask derivative
+    and the reparametrization through the inverse map are handled here.
     """
+    if g_mask is not None and not relaxed:
+        raise ValueError("g_mask is a soft-mask cotangent and needs relaxed=True")
     shape = paths.t_ext.shape
-    grad = np.zeros_like(paths.model.params.values)
-    if g_mask is None:
-        g_t = np.zeros(shape)
-    else:
+    inv_b = 1.0 / shape[0]
+    # log q = sum_j m_j log J_ext,j - Lambda(T), Lambda(T) the last clipped z
+    g_zbar = np.zeros(shape)
+    g_zbar[:, -1] = inv_b
+    grad, g_clip = tr.chain_vjp_cached(paths.cache_clip, g_zbar, np.zeros(shape))
+    if g_tclip is not None:
+        g_clip += g_tclip * inv_b
+    m = paths.soft_mask if relaxed else paths.hard_mask
+    gp, g_t = tr.chain_vjp_cached(paths.cache_ext, np.zeros(shape), -(m * inv_b))
+    grad += gp
+    if relaxed:
+        g_m = -paths.jext if g_mask is None else g_mask - paths.jext
         # d soft_mask / d t = -sigma'((T - t) / gamma) / gamma
         s = paths.soft_mask
-        g_t = g_mask * (-s * (1.0 - s) / paths.gamma)
-    g_clip_total = np.zeros(shape) if g_tclip is None else np.asarray(g_tclip, dtype=np.float64)
-
-    if g_zbar is not None:
-        gp, gt = tr.chain_vjp_cached(paths.cache_clip, g_zbar, np.zeros(shape))
-        grad += gp
-        g_clip_total = g_clip_total + gt
-    if g_jext is not None:
-        gp, gt = tr.chain_vjp_cached(paths.cache_ext, np.zeros(shape), g_jext)
-        grad += gp
-        g_t += gt
+        g_t += g_m * inv_b * (-s * (1.0 - s) / paths.gamma)
     # clipping passes gradients only where the sample stayed inside [0, T]
-    g_t += g_clip_total * paths.hard_mask
+    g_t += g_clip * paths.hard_mask
     if np.any(g_t):
         u = tr.inverse_jac_t_apply(paths.cache_ext, g_t)
         gp, _ = tr.chain_vjp_cached(paths.cache_ext, u, np.zeros(shape))
@@ -302,23 +319,6 @@ def entropy_estimate(model: TppModel, n_samples: int, gamma: float, seed: int = 
     so it jumps whenever a parameter change pushes an event across the
     horizon and its gradient ignores those jump locations.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if gamma <= 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
-    if draws is None:
-        t_ext, _ = draw_extended(model, n_samples, seed)
-    else:
-        z = np.atleast_2d(np.asarray(draws, dtype=np.float64))
-        t_ext = tr.compose_inverse(z, model.spec, model.params)
-    paths = prepare_paths(model, t_ext, gamma)
-    b = t_ext.shape[0]
+    paths = draw_paths(model, n_samples, gamma, seed, draws)
     value = -float(path_log_density(paths, relaxed).mean())
-
-    m = paths.soft_mask if relaxed else paths.hard_mask
-    g_jext = -m / b
-    g_zbar = np.zeros_like(t_ext)
-    g_zbar[:, -1] = 1.0 / b
-    g_mask = -paths.jext / b if relaxed else None
-    grad = path_gradients(paths, g_mask=g_mask, g_jext=g_jext, g_zbar=g_zbar)
-    return value, grad
+    return value, path_gradients(paths, relaxed)

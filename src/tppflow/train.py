@@ -75,6 +75,7 @@ def nll_per_event(model: TppModel, batch: PaddedBatch, n_avg: float) -> float:
 @dataclass
 class TrainResult:
     model: TppModel
+    n_avg: float                                  # mean events per training sequence (>= 1)
     history: list = field(default_factory=list)   # (epoch, train_nll, val_nll, lr)
     test_nll: float | None = None
 
@@ -130,7 +131,7 @@ def fit_mle(model: TppModel, split: DatasetSplit, config: TrainConfig) -> TrainR
 
         model.params.values, state = adam_step(model.params.values, grad, state, lr)
 
-    result = TrainResult(model, history)
+    result = TrainResult(model, n_avg, history)
     if split.test:
         result.test_nll = nll_per_event(model, pad_batch(split.test), n_avg)
     return result

@@ -7,6 +7,7 @@ import pytest
 from tppflow import cli, seqdata
 from tppflow.cli import main
 from tppflow.mjp import MmppParams, simulate_mmpp
+from tppflow.models import load_checkpoint
 
 
 def read_csv(path):
@@ -31,6 +32,9 @@ def test_train_recovers_hpp_rate(tmp_path, hpp_dataset):
     train = seqdata.split_dataset(data, seed=5).train
     mle = sum(len(s) for s in train) / (len(train) * 10.0)
     assert summary["rate_hat"] == pytest.approx(mle, abs=1e-3)
+    # the checkpoint keeps the n_avg that fit_mle trained with
+    _, _, extra = load_checkpoint(str(out / "checkpoint.json"))
+    assert extra["n_avg"] == max(sum(len(s) for s in train) / len(train), 1.0)
     rows = read_csv(out / "loss.csv")
     assert set(rows[0]) == {"epoch", "train_nll", "val_nll", "lr"}
 

@@ -476,12 +476,13 @@ def test_elbo_k1_attains_observation_likelihood():
     assert est.value == pytest.approx(target, abs=0.05)
 
 
-def test_elbo_gradients_match_finite_differences(rng):
+@pytest.mark.parametrize("hard", [False, True], ids=["relaxed", "hard"])
+def test_elbo_gradients_match_finite_differences(rng, hard):
     p = two_state_params()
     q = _small_q(5.0, seed=2)
     obs = np.sort(rng.uniform(0, 5.0, 9))
     draws = np.cumsum(rng.exponential(1.0, (4, 24)), axis=1)
-    est = mjp.elbo_relaxed(q, p, obs, 4, gamma=0.15, seed=0, draws=draws)
+    est = mjp.elbo_relaxed(q, p, obs, 4, gamma=0.15, seed=0, hard=hard, draws=draws)
 
     def value(qvals=None, pi=None, a=None, lam=None):
         probe = q.copy()
@@ -489,7 +490,7 @@ def test_elbo_gradients_match_finite_differences(rng):
             probe.params.values[:] = qvals
         pp = mjp.MmppParams(p.pi if pi is None else pi, p.A if a is None else a,
                             p.lam if lam is None else lam)
-        return mjp.elbo_relaxed(probe, pp, obs, 4, gamma=0.15, seed=0, draws=draws,
+        return mjp.elbo_relaxed(probe, pp, obs, 4, gamma=0.15, seed=0, hard=hard, draws=draws,
                                 want_grads=False).value
 
     h = 1e-5

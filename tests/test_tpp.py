@@ -265,19 +265,32 @@ def test_entropy_hard_estimates():
     assert value == pytest.approx(2.0 - 2.0 * np.log(2.0), abs=1e-12)
 
 
-def test_entropy_relaxed_gradient_matches_fd():
-    model = make_model("hpp", horizon=1.0, noise=0.0, rate_init=2.0)
-    draws = np.cumsum(np.random.default_rng(3).exponential(1.0, (16, 12)), axis=1)
-    _, grad = tpp.entropy_estimate(model, 16, gamma=0.1, draws=draws)
+ENTROPY_FD_MODELS = {
+    # one log-rate parameter
+    "hpp": ({"horizon": 1.0, "noise": 0.0, "rate_init": 2.0}, 12),
+    # splines, blocks and bridges, and the inverse Jacobian through all of them
+    "tritpp": ({"horizon": 5.0, "noise": 0.1, "rate_init": 2.0, "n_knots": 5}, 24),
+}
+
+
+@pytest.mark.parametrize("relaxed", [True, False], ids=["relaxed", "hard"])
+@pytest.mark.parametrize("kind", list(ENTROPY_FD_MODELS))
+def test_entropy_gradient_matches_fd(kind, relaxed):
+    """Central differences over fixed draws match the gradient in every parameter."""
+    opts, width = ENTROPY_FD_MODELS[kind]
+    model = make_model(kind, **opts)
+    draws = np.cumsum(np.random.default_rng(3).exponential(1.0, (16, width)), axis=1)
+    _, grad = tpp.entropy_estimate(model, 16, gamma=0.1, draws=draws, relaxed=relaxed)
     h = 1e-6
-    vals = []
-    for sign in (1.0, -1.0):
-        probe = model.copy()
-        probe.params.values[0] += sign * h
-        v, _ = tpp.entropy_estimate(probe, 16, gamma=0.1, draws=draws)
-        vals.append(v)
-    num = (vals[0] - vals[1]) / (2 * h)
-    assert grad[0] == pytest.approx(num, rel=1e-4)
+    for i in range(model.params.size):
+        vals = []
+        for sign in (1.0, -1.0):
+            probe = model.copy()
+            probe.params.values[i] += sign * h
+            vals.append(tpp.entropy_estimate(probe, 16, gamma=0.1, draws=draws,
+                                             relaxed=relaxed)[0])
+        num = (vals[0] - vals[1]) / (2 * h)
+        assert abs(num - grad[i]) <= 1e-4 * max(abs(num), abs(grad[i]), 1e-3), f"param {i}"
 
 
 def test_entropy_validation():
@@ -286,6 +299,9 @@ def test_entropy_validation():
         tpp.entropy_estimate(model, 0, gamma=0.1)
     with pytest.raises(ValueError):
         tpp.entropy_estimate(model, 1, gamma=-1.0)
+    paths = tpp.prepare_paths(model, tpp.inverse_map(model, [[0.5, 1.5]]), 0.1)
+    with pytest.raises(ValueError, match="relaxed"):
+        tpp.path_gradients(paths, False, g_mask=np.zeros((1, 2)))
 
 
 # ---------------------------------------------------------------------------
