@@ -101,9 +101,14 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
 
 
-def reversed_cumsum(x):
-    """Cumulative sum from the end of the last axis: the transpose of ``np.cumsum``."""
-    return np.cumsum(x[..., ::-1], axis=-1)[..., ::-1]
+def reversed_cumsum(x, out=None):
+    """Cumulative sum from the end of the last axis: the transpose of ``np.cumsum``.
+
+    Written into ``out`` when it is given (not ``x`` itself).
+    """
+    out = np.empty(np.shape(x)) if out is None else out
+    np.cumsum(x[..., ::-1], axis=-1, out=out[..., ::-1])
+    return out
 
 
 def make_knots(spline: RqsSpline, theta: np.ndarray) -> Knots:
@@ -284,12 +289,13 @@ def inverse(spline: RqsSpline, theta: np.ndarray, y: np.ndarray, knots: Knots | 
 
 
 def vjp(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, g_y: np.ndarray, g_ld: np.ndarray,
-        res: Residuals | None = None):
+        res: Residuals | None = None, out: np.ndarray | None = None):
     """Pull cotangents on (value, logderiv) back to (input, parameters).
 
     ``res`` is the record ``forward`` returned for this ``x``; without it
     the forward pass is run here.  All partial derivatives are analytic.
-    Returns ``(g_x, g_theta)`` with ``g_theta`` flat like theta.
+    Returns ``(g_x, g_theta)`` with ``g_theta`` flat like theta; ``g_x`` is
+    written into ``out`` when it is given, which may be ``x``.
     """
     kn = make_knots(spline, theta)
     if res is None:
@@ -302,6 +308,11 @@ def vjp(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, g_y: np.ndarray, g_
     tails = lo if hi is None else (hi if lo is None else lo | hi)
     gy = g_y if tails is None else np.where(tails, 0.0, g_y)
     gl = g_ld if tails is None else np.where(tails, 0.0, g_ld)
+    # tails: y = d0*x below, 1 + d1*(x-1) above; read x before g_x is written
+    if lo is not None:
+        g_d0 = float(g_y[lo] @ x[lo] + g_ld[lo].sum() / kn.d[0])
+    if hi is not None:
+        g_d1 = float(g_y[hi] @ (x[hi] - 1.0) + g_ld[hi].sum() / kn.d[-1])
 
     # Inside a bin: y = y_k + h num/den and logderiv = 2 log s + log q - 2 log den,
     # with s = h/w, den = s + mm u, mm = d_lo + d_hi - 2s, u = xi (1 - xi).
@@ -334,7 +345,7 @@ def vjp(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, g_y: np.ndarray, g_
             row += np.bincount(k, weights=wt, minlength=m)
         return (g_xi * inv_w[k],)
 
-    g_x, = _by_blocks(block, res.k, res.xi, res.num, res.den, res.q, gy, gl)
+    g_x, = _by_blocks(block, res.k, res.xi, res.num, res.den, res.q, gy, gl, out=out)
     sum_xi, sum_xi_xi, sum_s, sum_dlo, sum_dhi, g_h, g_yknot = sums
 
     # xi = (x - x_k) / w and s = h / w; per-bin constants leave the sums
@@ -345,13 +356,12 @@ def vjp(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, g_y: np.ndarray, g_
     g_d[:-1] = sum_dlo
     g_d[1:] += sum_dhi
 
-    # tails: y = d0*x below, 1 + d1*(x-1) above
     if lo is not None:
         g_x[lo] = g_y[lo] * kn.d[0]
-        g_d[0] += float(g_y[lo] @ x[lo] + g_ld[lo].sum() / kn.d[0])
+        g_d[0] += g_d0
     if hi is not None:
         g_x[hi] = g_y[hi] * kn.d[-1]
-        g_d[-1] += float(g_y[hi] @ (x[hi] - 1.0) + g_ld[hi].sum() / kn.d[-1])
+        g_d[-1] += g_d1
 
     # knot positions are prefix sums of widths/heights
     g_w[:-1] += reversed_cumsum(g_xknot)[1:]

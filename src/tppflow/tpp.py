@@ -10,7 +10,7 @@ import numpy as np
 from . import transforms as tr
 from .rng import row_streams
 from .seqdata import EventSequence, PaddedBatch, unpad_batch
-from .splines import sigmoid
+from .splines import _BLOCK, sigmoid
 from .transforms import ChainCache, ParamStore, TransformSpec
 
 __all__ = [
@@ -66,13 +66,18 @@ class SampleBatch:
         return unpad_batch(self.to_batch())
 
 
-def _append_horizon(batch: PaddedBatch):
-    """One extra horizon column guarantees the last z equals the compensator
-    at T even for the longest (padding-free) row."""
-    b = batch.times.shape[0]
-    times = np.concatenate([batch.times, np.full((b, 1), batch.horizon)], axis=1)
-    mask = np.concatenate([batch.mask, np.zeros((b, 1))], axis=1)
-    return times, mask
+def _append_horizon(rows, value):
+    """``rows`` with one more column, filled with ``value``.
+
+    The horizon appended to the times guarantees that the last z equals the
+    compensator at T even for the longest (padding-free) row; a zero
+    appended to the mask leaves that column out of the row densities.
+    Callers build the mask after the forward pass has dropped the times.
+    """
+    out = np.empty((rows.shape[0], rows.shape[1] + 1))
+    out[:, :-1] = rows
+    out[:, -1] = value
+    return out
 
 
 def _row_log_density(mask, logdiag, z):
@@ -80,9 +85,25 @@ def _row_log_density(mask, logdiag, z):
 
     Rows are summed in column order (pairwise summation would split a row at
     width-dependent points), so trailing padding adds exact zeros and the
-    result is bit-for-bit the same at any padded width.
+    result is bit-for-bit the same at any padded width.  The sum runs over
+    blocks of columns, each block's cumulative sum carrying on from the last.
     """
-    return np.cumsum(mask * logdiag, axis=1)[:, -1] - z[:, -1]
+    step = max(1, _BLOCK // max(logdiag.shape[0], 1))
+    total = None
+    for start in range(0, logdiag.shape[1], step):
+        part = mask[:, start:start + step] * logdiag[:, start:start + step]
+        if total is not None:
+            part[:, 0] += total
+        total = np.cumsum(part, axis=1, out=part)[:, -1]
+    return total - z[:, -1]
+
+
+def _last_column(shape, value):
+    """Read-only rows of zeros with ``value`` in the last column: the
+    cotangent of a compensator read off the last z."""
+    row = np.zeros(shape[-1])
+    row[-1] = value
+    return np.broadcast_to(row, shape)
 
 
 def log_prob(model: TppModel, batch: PaddedBatch) -> np.ndarray:
@@ -90,21 +111,20 @@ def log_prob(model: TppModel, batch: PaddedBatch) -> np.ndarray:
     the cumulative intensity at the horizon."""
     if batch.horizon != model.horizon:
         raise ValueError(f"batch horizon {batch.horizon} != model horizon {model.horizon}")
-    times, mask = _append_horizon(batch)
-    z, logdiag = tr.compose_forward(times, model.spec, model.params)
-    return _row_log_density(mask, logdiag, z)
+    z, logdiag = tr.compose_forward(_append_horizon(batch.times, batch.horizon),
+                                    model.spec, model.params)
+    return _row_log_density(_append_horizon(batch.mask, 0.0), logdiag, z)
 
 
 def log_prob_grad(model: TppModel, batch: PaddedBatch):
     """(per-sequence log densities, gradient of their sum w.r.t. parameters)."""
     if batch.horizon != model.horizon:
         raise ValueError(f"batch horizon {batch.horizon} != model horizon {model.horizon}")
-    times, mask = _append_horizon(batch)
-    cache = tr.compose_forward_cached(times, model.spec, model.params)
+    cache = tr.compose_forward_cached(_append_horizon(batch.times, batch.horizon),
+                                      model.spec, model.params)
+    mask = _append_horizon(batch.mask, 0.0)
     lp = _row_log_density(mask, cache.logdiag, cache.z)
-    cot_z = np.zeros_like(cache.z)
-    cot_z[:, -1] = -1.0
-    grad, _ = tr.chain_vjp_cached(cache, cot_z, mask)
+    grad, _ = tr.chain_vjp_cached(cache, _last_column(mask.shape, -1.0), mask, consume=True)
     return lp, grad
 
 
@@ -280,15 +300,19 @@ def path_gradients(paths: SamplePaths, relaxed: bool, g_mask=None, g_tclip=None)
     soft mask (relaxed only) and ``g_tclip`` w.r.t. the clipped times, each
     ``None`` where f_r does not depend on it.  The mean, the mask derivative
     and the reparametrization through the inverse map are handled here.
+
+    This is the last reader of both caches and consumes them: ``cache_clip``
+    at its one reverse sweep, ``cache_ext`` at its last (see
+    :func:`tppflow.transforms.chain_vjp_cached`).  Read ``path_log_density``
+    first; a second call on the same ``paths`` raises ``ValueError``.
     """
     if g_mask is not None and not relaxed:
         raise ValueError("g_mask is a soft-mask cotangent and needs relaxed=True")
     shape = paths.t_ext.shape
     inv_b = 1.0 / shape[0]
     # log q = sum_j m_j log J_ext,j - Lambda(T), Lambda(T) the last clipped z
-    g_zbar = np.zeros(shape)
-    g_zbar[:, -1] = inv_b
-    grad, g_clip = tr.chain_vjp_cached(paths.cache_clip, g_zbar, np.zeros(shape))
+    grad, g_clip = tr.chain_vjp_cached(paths.cache_clip, _last_column(shape, inv_b),
+                                       np.zeros(shape), consume=True)
     if g_tclip is not None:
         g_clip += g_tclip * inv_b
     m = paths.soft_mask if relaxed else paths.hard_mask
@@ -303,7 +327,7 @@ def path_gradients(paths: SamplePaths, relaxed: bool, g_mask=None, g_tclip=None)
     g_t += g_clip * paths.hard_mask
     if np.any(g_t):
         u = tr.inverse_jac_t_apply(paths.cache_ext, g_t)
-        gp, _ = tr.chain_vjp_cached(paths.cache_ext, u, np.zeros(shape))
+        gp, _ = tr.chain_vjp_cached(paths.cache_ext, u, np.zeros(shape), consume=True)
         grad -= gp
     return grad
 

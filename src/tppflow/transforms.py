@@ -15,7 +15,11 @@ read-only broadcast view.
 the output is written there when it is given, and ``out`` may be the input
 itself.  ``compose_forward`` and ``compose_inverse`` copy the caller's array
 once and let every layer overwrite its input; ``compose_forward_cached``
-gives each layer a fresh output and keeps every layer's input.
+gives each layer a fresh output and keeps every layer's input.  ``vjp``
+takes ``out`` in the same sense, and the last reader of a cache consumes it:
+``chain_vjp_cached(..., consume=True)`` hands each layer its own input as
+``out`` unless another layer reads that array as its record, then drops the
+layer's input and record, and refuses a second pass with ``ValueError``.
 
 Padding semantics: rows are padded by repeating the horizon, which makes the
 padded inter-event gaps exactly zero.  Gap-space layers pin those zero gaps
@@ -75,21 +79,34 @@ class DomainError(ValueError):
 def pairwise_diff(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise adjacent differences, first element kept; inverse of cumsum.
 
-    Written into ``out`` when it is given, which may be ``x``.
+    Written into ``out`` when it is given, which may be ``x``.  The flat
+    array is walked right to left in blocks through a small buffer: a block
+    reads only elements left of those already written (NumPy would copy the
+    whole overlapping operand of one in-place subtraction).
     """
     x = np.asarray(x, dtype=np.float64)
-    if out is None:
-        out = np.empty_like(x)
-    out[..., :1] = x[..., :1]
-    np.subtract(x[..., 1:], x[..., :-1], out=out[..., 1:])
+    out = np.empty(x.shape) if out is None else out
+    n = x.shape[-1]
+    src, dst = x.reshape(-1), sp.c_view(out, -1)
+    buf = np.empty(min(sp._BLOCK, src.size))
+    for stop in range(src.size, 1, -sp._BLOCK):
+        start = max(1, stop - sp._BLOCK)
+        part = buf[:stop - start]
+        np.subtract(src[start:stop], src[start - 1:stop - 1], out=part)
+        first = -(-start // n) * n          # the block's first row start
+        part[first - start::n] = src[first:stop:n]
+        dst[start:stop] = part
+    dst[:1] = src[:1]
     return out
 
 
-def _diff_t(x: np.ndarray) -> np.ndarray:
-    """Transpose of the row-wise adjacent difference."""
-    u = x.copy()
-    u[..., :-1] -= x[..., 1:]
-    return u
+def _diff_t(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Transpose of the row-wise adjacent difference, written into ``out``
+    when it is given (not ``x`` itself)."""
+    out = np.empty(x.shape) if out is None else out
+    np.subtract(x[..., :-1], x[..., 1:], out=out[..., :-1])
+    out[..., -1:] = x[..., -1:]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +137,8 @@ class Spline:
     def inverse(self, y, p, out=None):
         return sp.inverse(self.rqs, p, y, out=out)
 
-    def vjp(self, x, p, g_y, g_ld, res=None):
-        return sp.vjp(self.rqs, p, x, g_y, g_ld, res=res)
+    def vjp(self, x, p, g_y, g_ld, res=None, out=None):
+        return sp.vjp(self.rqs, p, x, g_y, g_ld, res=res, out=out)
 
     def inv_jac_t(self, x, p, w, res=None):
         return sp.inv_jac_t(self.rqs, p, x, w, res=res)
@@ -201,7 +218,7 @@ class BlockDiag:
         b = self.matrix(p)
         return self._by_row_blocks(lambda c: solve_triangular(b, c.T, lower=True).T, y, out=out)
 
-    def vjp(self, x, p, g_y, g_ld, res=None):
+    def vjp(self, x, p, g_y, g_ld, res=None, out=None):
         b = self.matrix(p)
         h = self.size
         g_b = np.zeros((h, h))
@@ -210,7 +227,7 @@ class BlockDiag:
             g_b[:] += gc.T @ xc
             return gc @ b
 
-        g_x = self._by_row_blocks(block, g_y, x)
+        g_x = self._by_row_blocks(block, g_y, x, out=out)
         g_p = np.zeros_like(p)
         g_p[:h] = np.diag(g_b) * np.diag(b)
         g_p[h:] = g_b[np.tril_indices(h, -1)]
@@ -240,10 +257,10 @@ class Scale:
     def inverse(self, y, p, out=None):
         return np.multiply(y, np.exp(-p[0]), out=out)
 
-    def vjp(self, x, p, g_y, g_ld, res=None):
+    def vjp(self, x, p, g_y, g_ld, res=None, out=None):
         s = np.exp(p[0])
-        g_p = np.array([s * float((g_y * x).sum()) + float(g_ld.sum())])
-        return s * g_y, g_p
+        g_p = np.array([s * float((g_y * x).sum()) + float(g_ld.sum())])   # before out is written
+        return np.multiply(s, g_y, out=out), g_p
 
     def inv_jac_t(self, x, p, w, res=None):
         return w * np.exp(-p[0])
@@ -271,8 +288,8 @@ class FixedScale:
     def inverse(self, y, p, out=None):
         return np.divide(y, self.value, out=out)
 
-    def vjp(self, x, p, g_y, g_ld, res=None):
-        return self.value * g_y, None
+    def vjp(self, x, p, g_y, g_ld, res=None, out=None):
+        return np.multiply(self.value, g_y, out=out), None
 
     def inv_jac_t(self, x, p, w, res=None):
         return w / self.value
@@ -311,6 +328,11 @@ def _logit_forward(v):
     xc = _clamped(v)
     log_x, log_1mx = np.log(xc), np.log1p(-xc)
     return log_x - log_1mx, -log_x - log_1mx
+
+
+def _logit_vjp(v, g_y, g_ld):
+    xc = _clamped(v)
+    return ((g_y + g_ld * (2.0 * xc - 1.0)) / (xc * (1.0 - xc)),)
 
 
 @dataclass(frozen=True)
@@ -371,18 +393,18 @@ class Bridge:
             block = lambda v: (sigmoid(v),)
         return _by_blocks(block, y, out=out)[0]
 
-    def vjp(self, x, p, g_y, g_ld, res=None):
+    def vjp(self, x, p, g_y, g_ld, res=None, out=None):
         k = self.kind
         if k == "psi":
-            return g_y * np.exp(-x) - g_ld, None
-        if k == "psi_inv":
-            d = 1.0 / (1.0 - _clamped(x))
-            return (g_y + g_ld) * d, None
-        if k == "sigmoid":
-            s = sigmoid(x) if res is None else res
-            return g_y * s * (1.0 - s) + g_ld * (1.0 - 2.0 * s), None
-        xc = _clamped(x)
-        return (g_y + g_ld * (2.0 * xc - 1.0)) / (xc * (1.0 - xc)), None
+            block = lambda v, gy, gl: (gy * np.exp(-v) - gl,)
+        elif k == "psi_inv":
+            block = lambda v, gy, gl: ((gy + gl) * (1.0 / (1.0 - _clamped(v))),)
+        elif k == "sigmoid":
+            x = sigmoid(x) if res is None else res      # the record s replaces x
+            block = lambda s, gy, gl: (gy * s * (1.0 - s) + gl * (1.0 - 2.0 * s),)
+        else:
+            block = _logit_vjp
+        return _by_blocks(block, x, g_y, g_ld, out=out)[0], None
 
     def inv_jac_t(self, x, p, w, res=None):
         k = self.kind
@@ -412,8 +434,8 @@ class Cumsum:
     def inverse(self, y, p, out=None):
         return pairwise_diff(y, out=out)
 
-    def vjp(self, x, p, g_y, g_ld, res=None):
-        return reversed_cumsum(g_y), None
+    def vjp(self, x, p, g_y, g_ld, res=None, out=None):
+        return reversed_cumsum(g_y, out=out), None
 
     def inv_jac_t(self, x, p, w, res=None):
         return _diff_t(w)
@@ -434,8 +456,8 @@ class Diff:
     def inverse(self, y, p, out=None):
         return np.cumsum(y, axis=-1, out=out)
 
-    def vjp(self, x, p, g_y, g_ld, res=None):
-        return _diff_t(g_y), None
+    def vjp(self, x, p, g_y, g_ld, res=None, out=None):
+        return _diff_t(g_y, out=out), None
 
     def inv_jac_t(self, x, p, w, res=None):
         return reversed_cumsum(w)
@@ -530,8 +552,14 @@ class ChainCache:
     inputs: list            # per layer input matrix
     residuals: list         # per layer forward record for its vjp (or None)
     pins: list              # per layer pin mask active at the layer OUTPUT (or None)
-    z: np.ndarray
+    z: np.ndarray | None    # None once a consuming chain_vjp_cached has run
     logdiag: np.ndarray
+
+
+def _check_live(cache: ChainCache):
+    if cache.z is None:
+        raise ValueError("the cache was consumed by chain_vjp_cached(..., consume=True); "
+                         "run compose_forward_cached again")
 
 
 def _validate_rows(x, what):
@@ -622,17 +650,39 @@ def compose_inverse(z, spec: TransformSpec, store: ParamStore, validate: bool = 
     return y
 
 
-def chain_vjp_cached(cache: ChainCache, cot_z, cot_logdiag):
+def chain_vjp_cached(cache: ChainCache, cot_z, cot_logdiag, consume: bool = False):
     """Reverse-mode sweep through a cached forward pass.
 
     ``cot_z`` and ``cot_logdiag`` are cotangents of the two outputs; returns
     ``(grad_params, grad_times)`` with ``grad_params`` flat like the store.
+
+    Without ``consume`` the cache is left as it was and may be read again.
+    With ``consume`` the sweep is the cache's last reader and writes over
+    it: ``cot_z`` is copied into ``cache.z``, which no layer reads, and each
+    layer writes its input cotangent over its own input (``vjp(..., out=)``),
+    after which that input and record are dropped.  An array that is also a
+    layer's record is never written (the sigmoid bridge's record is its
+    output, the next layer's input).  ``grad_times`` then lives in the
+    cache's first input, and a later pass over the cache raises
+    ``ValueError``.
     """
+    _check_live(cache)
     spec, store = cache.spec, cache.store
-    g = np.array(cot_z, dtype=np.float64, copy=True)
     g_ld_full = np.asarray(cot_logdiag, dtype=np.float64)
-    if g.shape != cache.z.shape or g_ld_full.shape != cache.z.shape:
+    if np.shape(cot_z) != cache.z.shape or g_ld_full.shape != cache.z.shape:
         raise ValueError("cotangent shapes must match the forward output")
+
+    def owned(a):
+        """``a`` when the sweep may write over it, else None."""
+        return a if consume and all(r is not a for r in cache.residuals) else None
+
+    g = owned(cache.z)
+    if g is None:
+        g = np.array(cot_z, dtype=np.float64, copy=True)
+    else:
+        np.copyto(g, cot_z)
+    if consume:
+        cache.z = None
     grad = np.zeros_like(store.values)
     masked_pin, g_ld_masked = None, None
     for i in range(len(spec.layers) - 1, -1, -1):
@@ -645,9 +695,12 @@ def chain_vjp_cached(cache: ChainCache, cot_z, cot_logdiag):
                 masked_pin, g_ld_masked = pin, np.where(pin, 0.0, g_ld_full)
             g_ld = g_ld_masked
             if layer.force_fwd:
-                np.copyto(g, 0.0, where=pin)   # a copy of cot_z or a fresh layer output
-        p = _params_of(layer, store)
-        g, g_p = layer.vjp(cache.inputs[i], p, g, g_ld, cache.residuals[i])
+                np.copyto(g, 0.0, where=pin)   # the sweep's own array
+        x = cache.inputs[i]
+        g, g_p = layer.vjp(x, _params_of(layer, store), g, g_ld, cache.residuals[i],
+                           out=owned(x))
+        if consume:
+            cache.inputs[i] = cache.residuals[i] = None
         if g_p is not None:
             grad[store.slices[layer.name]] += g_p
     return grad, g
@@ -661,6 +714,7 @@ def inverse_jac_t_apply(cache: ChainCache, w):
     ``chain_vjp_cached`` at ``cot_z = u``, ``cot_logdiag = 0``, where
     ``u = J_F^{-T} dL/dt``.  Only valid for caches without pinned positions.
     """
+    _check_live(cache)
     if any(p is not None for p in cache.pins):
         raise ValueError("inverse_jac_t_apply requires a pin-free forward cache")
     u = np.array(w, dtype=np.float64, copy=True)

@@ -26,7 +26,7 @@ def test_acceptance_01_inverse_consistency():
         model = make_model(kind, horizon=10.0, seed=trial, noise=0.35,
                            rate_init=float(rng.uniform(0.5, 2.0)))
         batch = random_batch(rng, 2, 10.0, min_events=12, max_events=40)
-        times, _ = _append_horizon(batch)
+        times = _append_horizon(batch.times, batch.horizon)
         z, _ = tr.compose_forward(times, model.spec, model.params)
         assert np.all(np.diff(z, axis=1) >= -1e-12), kind
         back = tr.compose_inverse(z, model.spec, model.params)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_model, random_batch
+from conftest import ALL_KINDS, make_model, random_batch
 from tppflow import tpp
 from tppflow import transforms as tr
 from tppflow.metrics import ks_exp1
@@ -302,6 +302,63 @@ def test_entropy_validation():
     paths = tpp.prepare_paths(model, tpp.inverse_map(model, [[0.5, 1.5]]), 0.1)
     with pytest.raises(ValueError, match="relaxed"):
         tpp.path_gradients(paths, False, g_mask=np.zeros((1, 2)))
+
+
+# ---------------------------------------------------------------------------
+# consuming reverse sweeps
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_consuming_vjp_gives_the_same_bits(rng, kind):
+    """A consuming sweep writes each layer's input cotangent over that
+    layer's own input, never over an array another layer still reads (the
+    sigmoid bridge's record is the next spline's input).  On the padded rows
+    of ``test_chain_vjp_padded_batch_in_spline_tails`` (pinned gaps, times
+    past the horizon in the spline tails) its gradients equal those of a
+    sweep that leaves the cache alone, bit for bit, and a cache left alone
+    gives the same bits when it is swept again."""
+    model = make_model(kind, horizon=10.0, seed=8, noise=0.4)
+    times = np.full((3, 26), 13.0)
+    for r, n in enumerate((25, 12, 4)):
+        times[r, :n] = np.sort(rng.uniform(0.0, 13.0, n))
+    cot_z = rng.normal(0, 1, times.shape)
+    cot_ld = rng.normal(0, 1, times.shape)
+    kept = tr.compose_forward_cached(times, model.spec, model.params)
+    layers = model.spec.layers
+    if any(isinstance(layer, tr.Diff) for layer in layers):
+        assert kept.pins[-1] is not None
+    if kind in ("ipp", "mrp", "tritpp"):     # g1 reads t / T, past 1 beyond the horizon
+        assert any(res.hi is not None for layer, res in zip(layers, kept.residuals)
+                   if isinstance(layer, tr.Spline))
+    if kind == "tritpp":
+        assert any(res is x for res, x in zip(kept.residuals, kept.inputs[1:]))
+
+    g, g_t = tr.chain_vjp_cached(kept, cot_z, cot_ld)
+    g_again, g_t_again = tr.chain_vjp_cached(kept, cot_z, cot_ld)
+    consumed = tr.compose_forward_cached(times, model.spec, model.params)
+    g_c, g_t_c = tr.chain_vjp_cached(consumed, cot_z, cot_ld, consume=True)
+    assert consumed.z is None and all(x is None for x in consumed.inputs)
+    for a, b in ((g_again, g), (g_c, g), (g_t_again, g_t), (g_t_c, g_t)):
+        assert np.array_equal(a, b)
+
+
+def test_consumed_cache_fails_loudly(rng):
+    """A consumed cache is refused with a ValueError that says so, by the
+    reverse sweep, by ``inverse_jac_t_apply`` and so by a second
+    ``path_gradients`` over the same paths."""
+    model = make_model("tritpp", horizon=10.0, seed=4, noise=0.4)
+    t = np.sort(rng.uniform(0.0, 10.0, (2, 12)), axis=1)    # no padding: pin-free
+    cache = tr.compose_forward_cached(t, model.spec, model.params)
+    zeros = np.zeros_like(t)
+    tr.chain_vjp_cached(cache, zeros, zeros, consume=True)
+    with pytest.raises(ValueError, match="consumed"):
+        tr.chain_vjp_cached(cache, zeros, zeros)
+    with pytest.raises(ValueError, match="consumed"):
+        tr.inverse_jac_t_apply(cache, zeros)
+    paths = tpp.draw_paths(model, 4, gamma=0.1, seed=1)
+    tpp.path_gradients(paths, relaxed=True)
+    with pytest.raises(ValueError, match="consumed"):
+        tpp.path_gradients(paths, relaxed=True)
 
 
 # ---------------------------------------------------------------------------

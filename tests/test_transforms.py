@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from conftest import ALL_KINDS, make_model, random_batch
 from tppflow import splines as sp
 from tppflow import transforms as tr
-from tppflow.tpp import _append_horizon
+from tppflow.tpp import _append_horizon, log_prob_grad
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +281,7 @@ def test_identity_tritpp_equals_hpp_map(rng):
     tri = make_model("tritpp", horizon=10.0, noise=0.0, rate_init=2.0)
     hpp = make_model("hpp", horizon=10.0, noise=0.0, rate_init=2.0)
     batch = random_batch(rng, 4, 10.0)
-    times, _ = _append_horizon(batch)
+    times = _append_horizon(batch.times, batch.horizon)
     z0, _ = tr.compose_forward(times, hpp.spec, hpp.params)
     z1, _ = tr.compose_forward(times, tri.spec, tri.params)
     assert np.abs(z0 - z1).max() < 1e-12
@@ -324,7 +324,7 @@ def test_round_trip_and_monotonicity_random_models(rng):
         model = make_model(kind, horizon=10.0, seed=trial, noise=0.35,
                            rate_init=float(rng.uniform(0.5, 2.0)))
         batch = random_batch(rng, 3, 10.0, min_events=12, max_events=40)
-        times, _ = _append_horizon(batch)
+        times = _append_horizon(batch.times, batch.horizon)
         z, _ = tr.compose_forward(times, model.spec, model.params)
         assert np.all(np.diff(z, axis=1) >= -1e-12), kind
         back = tr.compose_inverse(z, model.spec, model.params)
@@ -350,7 +350,7 @@ def test_inverse_matches_bisection(rng):
 def test_padding_invariance_bitwise(rng):
     model = make_model("tritpp", horizon=10.0, seed=2, noise=0.5)
     batch = random_batch(rng, 4, 10.0)
-    times, _ = _append_horizon(batch)
+    times = _append_horizon(batch.times, batch.horizon)
     z, ld = tr.compose_forward(times, model.spec, model.params)
     wider = np.concatenate([times, np.full((4, 6), 10.0)], axis=1)
     z2, ld2 = tr.compose_forward(wider, model.spec, model.params)
@@ -366,7 +366,8 @@ def test_uncached_passes_peak_at_few_batch_arrays(rng):
     included) and that of an inverse pass within 3.5."""
     model = make_model("tritpp", horizon=100.0, seed=1, noise=0.05, rate_init=14.0,
                        n_knots=20, block_size=16, n_blocks=4)
-    times, _ = _append_horizon(random_batch(rng, 100, 100.0, 1300, 1500))
+    batch = random_batch(rng, 100, 100.0, 1300, 1500)
+    times = _append_horizon(batch.times, batch.horizon)
     z = tr.compose_forward(times, model.spec, model.params)[0]
     for run, x, bound in ((tr.compose_forward, times, 5.0), (tr.compose_inverse, z, 3.5)):
         run(x, model.spec, model.params)
@@ -377,6 +378,45 @@ def test_uncached_passes_peak_at_few_batch_arrays(rng):
         finally:
             tracemalloc.stop()
         assert peak <= bound * x.nbytes, (run.__name__, peak / x.nbytes)
+
+
+def test_log_prob_grad_peaks_below_its_cache(rng):
+    """``log_prob_grad`` consumes its cache: each layer's VJP writes its
+    input cotangent over its own input.  At the bench chain and shape the
+    traced peak stays within 35 batch-sized arrays (the cache alone holds
+    ~29.5)."""
+    model = make_model("tritpp", horizon=100.0, seed=1, noise=0.05, rate_init=14.0,
+                       n_knots=20, block_size=16, n_blocks=4)
+    batch = random_batch(rng, 100, 100.0, 1300, 1500)
+    nbytes = _append_horizon(batch.times, batch.horizon).nbytes
+    log_prob_grad(model, batch)
+    tracemalloc.start()
+    try:
+        log_prob_grad(model, batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 35.0 * nbytes, peak / nbytes
+
+
+def test_in_place_differences_make_no_batch_temporary(rng):
+    """``pairwise_diff(x, out=x)`` walks ``x`` through a small buffer: run in
+    place at the bench shape, ``Diff.forward`` and ``Cumsum.inverse`` peak
+    at a tenth of a batch-sized array and give the bits of a fresh output."""
+    x = np.cumsum(rng.uniform(0.0, 1.0, (100, 1501)), axis=1)
+    expected = np.concatenate([x[:, :1], np.diff(x, axis=1)], axis=1)
+    for run in (tr.Diff().forward, tr.Cumsum().inverse):
+        own = x.copy()
+        run(own, None, out=own)
+        assert np.array_equal(own, expected)
+        own = x.copy()
+        tracemalloc.start()
+        try:
+            run(own, None, out=own)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * x.nbytes, (run.__qualname__, peak / x.nbytes)
 
 
 def test_jacobian_determinant_small_n(rng):
@@ -412,7 +452,7 @@ def test_domain_error_names_layer():
 def test_chain_vjp_zero_cotangents(rng):
     model = make_model("tritpp", horizon=10.0, seed=4, noise=0.5)
     batch = random_batch(rng, 2, 10.0)
-    times, _ = _append_horizon(batch)
+    times = _append_horizon(batch.times, batch.horizon)
     cache = tr.compose_forward_cached(times, model.spec, model.params)
     g, gt = tr.chain_vjp_cached(cache, np.zeros_like(times), np.zeros_like(times))
     assert np.array_equal(g, np.zeros_like(g))
@@ -422,7 +462,8 @@ def test_chain_vjp_zero_cotangents(rng):
 def test_chain_vjp_hpp_score():
     model = make_model("hpp", horizon=10.0, noise=0.0, rate_init=2.0)
     batch = random_batch(np.random.default_rng(1), 3, 10.0)
-    times, mask = _append_horizon(batch)
+    times = _append_horizon(batch.times, batch.horizon)
+    mask = _append_horizon(batch.mask, 0.0)
     cot_z = np.zeros_like(times)
     cot_z[:, -1] = -1.0
     g, _ = tr.chain_vjp_cached(tr.compose_forward_cached(times, model.spec, model.params),
@@ -437,7 +478,7 @@ def test_chain_vjp_hpp_score():
 def test_chain_vjp_matches_finite_differences(rng, kind):
     model = make_model(kind, horizon=10.0, seed=8, noise=0.4)
     batch = random_batch(rng, 3, 10.0)
-    times, _ = _append_horizon(batch)
+    times = _append_horizon(batch.times, batch.horizon)
     cot_z = rng.normal(0, 1, times.shape)
     cot_ld = rng.normal(0, 1, times.shape)
     g, _ = tr.chain_vjp_cached(tr.compose_forward_cached(times, model.spec, model.params),
