@@ -80,15 +80,21 @@ class Knots(NamedTuple):
 
 
 class Residuals(NamedTuple):
-    """What one forward evaluation leaves for ``vjp`` and ``inv_jac_t``."""
+    """What one forward evaluation leaves for ``vjp`` and ``inv_jac_t``.
 
-    k: np.ndarray            # bin of each (clipped) input; uint8 up to 256 bins
-    xi: np.ndarray           # position inside the bin, in [0, 1]
-    num: np.ndarray          # value = y_k + h_k * num / den
-    den: np.ndarray
-    q: np.ndarray            # derivative = s^2 * q / den^2
-    lo: np.ndarray | None    # inputs below 0, None when there are none
-    hi: np.ndarray | None    # inputs above 1, None when there are none
+    Only the bin and the position inside it are kept per element; the
+    rational function's num, den and q are recomputed from them by the
+    forward's own expressions (``_rational``), so to the same bits.  The
+    tail inputs are kept too, so that neither reads ``x``: a pass may write
+    over the input once the record is built.
+    """
+
+    k: np.ndarray              # bin of each (clipped) input; uint8 up to 256 bins
+    xi: np.ndarray             # position inside the bin, in [0, 1]
+    lo: np.ndarray | None      # mask of the inputs below 0, None when there are none
+    hi: np.ndarray | None      # mask of the inputs above 1, None when there are none
+    x_lo: np.ndarray | None    # x[lo], in order
+    x_hi: np.ndarray | None    # x[hi], in order
 
 
 def sigmoid(x):
@@ -104,7 +110,7 @@ def sigmoid(x):
 def reversed_cumsum(x, out=None):
     """Cumulative sum from the end of the last axis: the transpose of ``np.cumsum``.
 
-    Written into ``out`` when it is given (not ``x`` itself).
+    Written into ``out`` when it is given, which may be ``x``.
     """
     out = np.empty(np.shape(x)) if out is None else out
     np.cumsum(x[..., ::-1], axis=-1, out=out[..., ::-1])
@@ -206,12 +212,28 @@ def _by_blocks(fn, *arrays, out=None):
     return outs
 
 
+def _rational(kn: Knots, k, xi):
+    """s, u = xi (1 - xi), num, den and q of bins ``k`` (intp) at positions ``xi``.
+
+    value = y_k + h num / den and derivative = s^2 q / den^2.  ``forward``,
+    ``vjp`` and ``inv_jac_t`` all evaluate them here, so a record's bin and
+    xi give back the forward's num, den and q bit for bit.
+    """
+    u = xi * (1.0 - xi)
+    s = kn.s[k]
+    dlo = kn.d[:-1][k]
+    num = s * xi * xi + dlo * u
+    den = s + kn.mm[k] * u
+    q = kn.d[1:][k] * xi * xi + 2.0 * s * u + dlo * (1.0 - xi) ** 2
+    return s, u, num, den, q
+
+
 def forward(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, keep: bool = True,
             out: np.ndarray | None = None):
     """Evaluate the spline and the log of its derivative, tails included.
 
     Returns ``(y, logderiv, residuals)``; the residuals let ``vjp`` and
-    ``inv_jac_t`` skip the bin search and the rational function.  Without
+    ``inv_jac_t`` skip the bin search and read nothing of ``x``.  Without
     ``keep`` they are ``None`` and only y and logderiv are written out.
     ``y`` is written into ``out`` when it is given, which may be ``x``.
     """
@@ -220,36 +242,36 @@ def forward(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, keep: bool = Tr
     two_log_s = 2.0 * np.log(kn.s)
     d0, d1 = kn.d[0], kn.d[-1]
     log_d0, log_d1 = np.log(d0), np.log(d1)
+    x_lo, x_hi = [], []    # tail inputs, block by block
 
     def block(v):
         xc = np.clip(v, 0.0, 1.0)
         k_small = _bin_index(kn.x_grid, xc)
         k = k_small.astype(np.intp)
         xi = np.clip((xc - kn.x[k]) / kn.w[k], 0.0, 1.0)
-        u = xi * (1.0 - xi)
-        s = kn.s[k]
-        dlo = kn.d[:-1][k]
-        num = s * xi * xi + dlo * u
-        den = s + kn.mm[k] * u
-        q = kn.d[1:][k] * xi * xi + 2.0 * s * u + dlo * (1.0 - xi) ** 2
+        _, _, num, den, q = _rational(kn, k, xi)
         y = kn.y[k] + kn.h[k] * num / den
         ld = two_log_s[k] + np.log(q) - 2.0 * np.log(den)
-        # linear tails
+        # linear tails; their inputs are taken before ``out`` (maybe x) is written
         lo = v < 0.0
         hi = v > 1.0
         if lo.any():
-            y[lo] = d0 * v[lo]
+            x_lo.append(v[lo])
+            y[lo] = d0 * x_lo[-1]
             ld[lo] = log_d0
         if hi.any():
-            y[hi] = 1.0 + d1 * (v[hi] - 1.0)
+            x_hi.append(v[hi])
+            y[hi] = 1.0 + d1 * (x_hi[-1] - 1.0)
             ld[hi] = log_d1
-        return (y, ld, k_small, xi, num, den, q, lo, hi) if keep else (y, ld)
+        return (y, ld, k_small, xi, lo, hi) if keep else (y, ld)
 
     y, ld, *rec = _by_blocks(block, x, out=out)
     if not keep:
         return y, ld, None
-    lo, hi = (m if m.any() else None for m in rec[-2:])
-    return y, ld, Residuals(*rec[:-2], lo, hi)
+    k, xi, lo, hi = rec
+    return y, ld, Residuals(k, xi, lo if x_lo else None, hi if x_hi else None,
+                            np.concatenate(x_lo) if x_lo else None,
+                            np.concatenate(x_hi) if x_hi else None)
 
 
 def inverse(spline: RqsSpline, theta: np.ndarray, y: np.ndarray, knots: Knots | None = None,
@@ -295,24 +317,23 @@ def vjp(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, g_y: np.ndarray, g_
     ``res`` is the record ``forward`` returned for this ``x``; without it
     the forward pass is run here.  All partial derivatives are analytic.
     Returns ``(g_x, g_theta)`` with ``g_theta`` flat like theta; ``g_x`` is
-    written into ``out`` when it is given, which may be ``x``.
+    written into ``out`` when it is given.  With ``res``, ``x`` is not read,
+    and ``out`` may be ``x``, ``g_y`` or both: ``g_y`` is read block by
+    block before that block of ``g_x`` is written.
     """
     kn = make_knots(spline, theta)
     if res is None:
         res = forward(spline, theta, x)[2]
-    x = np.asarray(x, dtype=np.float64)
     g_y = np.asarray(g_y, dtype=np.float64)
     g_ld = np.asarray(g_ld, dtype=np.float64)
     m = spline.n_bins
-    lo, hi = res.lo, res.hi
-    tails = lo if hi is None else (hi if lo is None else lo | hi)
-    gy = g_y if tails is None else np.where(tails, 0.0, g_y)
-    gl = g_ld if tails is None else np.where(tails, 0.0, g_ld)
-    # tails: y = d0*x below, 1 + d1*(x-1) above; read x before g_x is written
-    if lo is not None:
-        g_d0 = float(g_y[lo] @ x[lo] + g_ld[lo].sum() / kn.d[0])
-    if hi is not None:
-        g_d1 = float(g_y[hi] @ (x[hi] - 1.0) + g_ld[hi].sum() / kn.d[-1])
+    d0, d1 = kn.d[0], kn.d[-1]
+    # tails: y = d0*x below, 1 + d1*(x-1) above; summed before g_x is written
+    if res.lo is not None:
+        g_d0 = float(g_y[res.lo] @ res.x_lo + g_ld[res.lo].sum() / d0)
+    if res.hi is not None:
+        g_d1 = float(g_y[res.hi] @ (res.x_hi - 1.0) + g_ld[res.hi].sum() / d1)
+    tails = [(t, d) for t, d in ((res.lo, d0), (res.hi, d1)) if t is not None]
 
     # Inside a bin: y = y_k + h num/den and logderiv = 2 log s + log q - 2 log den,
     # with s = h/w, den = s + mm u, mm = d_lo + d_hi - 2s, u = xi (1 - xi).
@@ -321,15 +342,19 @@ def vjp(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, g_y: np.ndarray, g_
 
     sums = np.zeros((7, m))
 
-    def block(k_small, xi, num, den, q, gy, gl):
+    def block(k_small, xi, gy_in, gl_in, *masks):
         """g_x of one block; adds the block's per-bin sums of the partials to ``sums``."""
         k = k_small.astype(np.intp)
-        s, mm_k = kn.s[k], kn.mm[k]
+        gy, gl = gy_in, gl_in
+        if masks:     # the bins' partials see no cotangent from tail positions
+            in_tail = masks[0] if len(masks) == 1 else masks[0] | masks[1]
+            gy, gl = np.where(in_tail, 0.0, gy_in), np.where(in_tail, 0.0, gl_in)
+        s, u, num, den, q = _rational(kn, k, xi)
+        mm_k = kn.mm[k]
         inv_den = 1.0 / den
         a = gy * kn.h[k] * inv_den * inv_den        # g_y h / den^2
         gl_q = gl / q
         gl_d = gl * inv_den
-        u = xi * (1.0 - xi)
         v = 1.0 - 2.0 * u
         # d/dxi: dy = h s q / den^2, dq = 2 (mm xi + s - d_lo), dden = mm (1 - 2 xi)
         g_xi = a * s * q + 2.0 * (gl_q * (mm_k * xi + s_minus_dlo[k])
@@ -343,9 +368,12 @@ def vjp(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, g_y: np.ndarray, g_
         g_dhi = xi * xi * gl_q - two_u_gl_d - au * num
         for row, wt in zip(sums, (g_xi, g_xi * xi, g_s, g_dlo, g_dhi, gy * num * inv_den, gy)):
             row += np.bincount(k, weights=wt, minlength=m)
-        return (g_xi * inv_w[k],)
+        g_x = g_xi * inv_w[k]
+        for t, (_, d) in zip(masks, tails):
+            g_x[t] = gy_in[t] * d
+        return (g_x,)
 
-    g_x, = _by_blocks(block, res.k, res.xi, res.num, res.den, res.q, gy, gl, out=out)
+    g_x, = _by_blocks(block, res.k, res.xi, g_y, g_ld, *(t for t, _ in tails), out=out)
     sum_xi, sum_xi_xi, sum_s, sum_dlo, sum_dhi, g_h, g_yknot = sums
 
     # xi = (x - x_k) / w and s = h / w; per-bin constants leave the sums
@@ -355,12 +383,9 @@ def vjp(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, g_y: np.ndarray, g_
     g_d = np.zeros(spline.n_knots)
     g_d[:-1] = sum_dlo
     g_d[1:] += sum_dhi
-
-    if lo is not None:
-        g_x[lo] = g_y[lo] * kn.d[0]
+    if res.lo is not None:
         g_d[0] += g_d0
-    if hi is not None:
-        g_x[hi] = g_y[hi] * kn.d[-1]
+    if res.hi is not None:
         g_d[-1] += g_d1
 
     # knot positions are prefix sums of widths/heights
@@ -382,15 +407,19 @@ def inv_jac_t(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, w: np.ndarray
     """Divide ``w`` by the spline's derivative at ``x`` (its Jacobian is diagonal).
 
     ``res`` is the record ``forward`` returned for this ``x``; without it
-    the forward pass is run here.
+    the forward pass is run here.  With it, ``x`` is not read.
     """
     kn = make_knots(spline, theta)
     if res is None:
         res = forward(spline, theta, x)[2]
-    s = kn.s[res.k]
-    out = w * res.den * res.den / (s * s * res.q)
-    if res.lo is not None:
-        out[res.lo] = w[res.lo] / kn.d[0]
-    if res.hi is not None:
-        out[res.hi] = w[res.hi] / kn.d[-1]
-    return out
+    tails = [(t, d) for t, d in ((res.lo, kn.d[0]), (res.hi, kn.d[-1])) if t is not None]
+
+    def block(k_small, xi, w, *masks):
+        s, _, _, den, q = _rational(kn, k_small.astype(np.intp), xi)
+        u = w * den * den / (s * s * q)
+        for t, (_, d) in zip(masks, tails):
+            u[t] = w[t] / d
+        return (u,)
+
+    w = np.asarray(w, dtype=np.float64)
+    return _by_blocks(block, res.k, res.xi, w, *(t for t, _ in tails))[0]

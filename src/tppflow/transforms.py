@@ -6,20 +6,23 @@ triangular) Jacobian.  Every layer has a closed-form forward, inverse and
 vector-Jacobian product, so densities, samples and gradients never touch an
 autodiff framework.  A layer's ``forward(x, p, keep, out)`` returns its
 output, its log-diagonal and a record its ``vjp`` and ``inv_jac_t`` can reuse
-(a spline's bins and intermediates, the sigmoid bridge's output; ``None`` for
-every other layer, and for any layer run without ``keep``, when a spline
-writes out only its output and log-diagonal).  A constant log-diagonal is a
-read-only broadcast view.
+(a spline's bins, positions and tail inputs, the sigmoid bridge's output;
+``None`` for every other layer, and for any layer run without ``keep``, when
+a spline writes out only its output and log-diagonal).  A constant
+log-diagonal is a read-only broadcast view.  A layer's ``reads_input`` says
+whether its ``vjp`` and ``inv_jac_t`` read ``x`` beside the record.
 
 ``forward`` and ``inverse`` take ``out`` in the sense of NumPy's ``out=``:
 the output is written there when it is given, and ``out`` may be the input
 itself.  ``compose_forward`` and ``compose_inverse`` copy the caller's array
-once and let every layer overwrite its input; ``compose_forward_cached``
-gives each layer a fresh output and keeps every layer's input.  ``vjp``
-takes ``out`` in the same sense, and the last reader of a cache consumes it:
-``chain_vjp_cached(..., consume=True)`` hands each layer its own input as
-``out`` unless another layer reads that array as its record, then drops the
-layer's input and record, and refuses a second pass with ``ValueError``.
+once and let every layer overwrite its input.  ``compose_forward_cached``
+keeps what the reverse sweep reads: a layer that reads its input writes a
+fresh output, and the others write over their input, which the cache then
+shares with the next layer.  ``vjp`` takes ``out`` in the same sense, and
+the last reader of a cache consumes it: ``chain_vjp_cached(...,
+consume=True)`` hands each layer its own input as ``out`` unless another
+layer reads that array as its record, then drops the layer's input and
+record, and refuses a second pass with ``ValueError``.
 
 Padding semantics: rows are padded by repeating the horizon, which makes the
 padded inter-event gaps exactly zero.  Gap-space layers pin those zero gaps
@@ -101,11 +104,26 @@ def pairwise_diff(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _diff_t(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Transpose of the row-wise adjacent difference, written into ``out``
-    when it is given (not ``x`` itself)."""
+    """Transpose of the row-wise adjacent difference.
+
+    Written into ``out`` when it is given, which may be ``x``.  The mirror
+    of ``pairwise_diff``: the flat array is walked left to right in blocks
+    through a small buffer, and a block reads only elements right of those
+    already written.
+    """
+    x = np.asarray(x, dtype=np.float64)
     out = np.empty(x.shape) if out is None else out
-    np.subtract(x[..., :-1], x[..., 1:], out=out[..., :-1])
-    out[..., -1:] = x[..., -1:]
+    n = x.shape[-1]
+    src, dst = x.reshape(-1), sp.c_view(out, -1)
+    buf = np.empty(min(sp._BLOCK, src.size))
+    for start in range(0, src.size - 1, sp._BLOCK):
+        stop = min(start + sp._BLOCK, src.size - 1)
+        part = buf[:stop - start]
+        np.subtract(src[start:stop], src[start + 1:stop + 1], out=part)
+        last = start + (n - 1 - start) % n      # the block's first row end
+        part[last - start::n] = src[last:stop:n]
+        dst[start:stop] = part
+    dst[-1:] = src[-1:]
     return out
 
 
@@ -122,6 +140,7 @@ class Spline:
 
     force_fwd = True
     force_inv = True
+    reads_input = False   # the record holds the bins, xi and the tail inputs
 
     @property
     def rqs(self) -> RqsSpline:
@@ -159,6 +178,7 @@ class BlockDiag:
 
     force_fwd = False
     force_inv = False
+    reads_input = True
 
     def __post_init__(self):
         if self.size < 1 or self.size % 2:
@@ -249,6 +269,7 @@ class Scale:
 
     force_fwd = True
     force_inv = True
+    reads_input = True
     n_params = 1
 
     def forward(self, x, p, keep=True, out=None):
@@ -274,6 +295,7 @@ class FixedScale:
 
     force_fwd = True
     force_inv = True
+    reads_input = False
     n_params = 0
     name = None
 
@@ -363,6 +385,10 @@ class Bridge:
     def force_inv(self):
         return self.kind != "sigmoid"  # sigmoid input lives in R
 
+    @property
+    def reads_input(self):
+        return self.kind != "sigmoid"  # sigmoid reads its record, its own output
+
     def forward(self, x, p, keep=True, out=None):
         # the domain checks read the whole input before ``out`` (maybe x) is written
         k = self.kind
@@ -427,6 +453,7 @@ class Cumsum:
     name = None
     force_fwd = False
     force_inv = False
+    reads_input = False
 
     def forward(self, x, p, keep=True, out=None):
         return np.cumsum(x, axis=-1, out=out), np.broadcast_to(0.0, x.shape), None
@@ -449,6 +476,7 @@ class Diff:
     name = None
     force_fwd = True   # zero gaps stay exactly zero
     force_inv = False
+    reads_input = False
 
     def forward(self, x, p, keep=True, out=None):
         return pairwise_diff(x, out=out), np.broadcast_to(0.0, x.shape), None
@@ -549,7 +577,9 @@ def _params_of(layer, store):
 class ChainCache:
     spec: TransformSpec
     store: ParamStore
-    inputs: list            # per layer input matrix
+    # per layer input matrix; a layer without reads_input ran in place, so
+    # its entry is the next layer's (and holds its own output)
+    inputs: list
     residuals: list         # per layer forward record for its vjp (or None)
     pins: list              # per layer pin mask active at the layer OUTPUT (or None)
     z: np.ndarray | None    # None once a consuming chain_vjp_cached has run
@@ -574,10 +604,14 @@ def _validate_rows(x, what):
 
 
 def _run_forward(times, spec, store, validate, keep=False):
-    """Forward pass on a copy of ``times``.  With ``keep`` every layer writes
-    a fresh output, and the layer inputs and forward records are returned
-    for a VJP; otherwise every layer writes its output over its input and no
-    layer builds a record."""
+    """Forward pass on a copy of ``times``.
+
+    Without ``keep`` every layer writes its output over its input and no
+    layer builds a record.  With ``keep`` the layer inputs and forward
+    records are returned for a VJP, and only the layers whose ``vjp`` and
+    ``inv_jac_t`` read their input write a fresh output; the others write
+    over their input, which is then also the next layer's input, unless that
+    array is an earlier layer's record."""
     x = np.array(times, dtype=np.float64, order="C", ndmin=2)
     if validate:
         _validate_rows(x, "times")
@@ -586,7 +620,8 @@ def _run_forward(times, spec, store, validate, keep=False):
     pin = None
     for layer in spec.layers:
         p = _params_of(layer, store)
-        y, ld, res = layer.forward(x, p, keep, out=None if keep else x)
+        in_place = not (keep and (layer.reads_input or any(r is x for r in residuals)))
+        y, ld, res = layer.forward(x, p, keep, out=x if in_place else None)
         if isinstance(layer, Diff):
             pin = y == 0.0
             if not pin.any():
@@ -660,11 +695,13 @@ def chain_vjp_cached(cache: ChainCache, cot_z, cot_logdiag, consume: bool = Fals
     With ``consume`` the sweep is the cache's last reader and writes over
     it: ``cot_z`` is copied into ``cache.z``, which no layer reads, and each
     layer writes its input cotangent over its own input (``vjp(..., out=)``),
-    after which that input and record are dropped.  An array that is also a
-    layer's record is never written (the sigmoid bridge's record is its
-    output, the next layer's input).  ``grad_times`` then lives in the
-    cache's first input, and a later pass over the cache raises
-    ``ValueError``.
+    after which that input and record are dropped.  Where a layer ran in
+    place, its input, its output cotangent and ``out`` are one array.  An
+    array that is also a layer's record is never written (the sigmoid
+    bridge's record is its output, the next layer's input); a layer whose
+    input is one writes over the sweep's current cotangent instead.
+    ``grad_times`` then lives in the cache's first input, and a later pass
+    over the cache raises ``ValueError``.
     """
     _check_live(cache)
     spec, store = cache.spec, cache.store
@@ -697,8 +734,10 @@ def chain_vjp_cached(cache: ChainCache, cot_z, cot_logdiag, consume: bool = Fals
             if layer.force_fwd:
                 np.copyto(g, 0.0, where=pin)   # the sweep's own array
         x = cache.inputs[i]
-        g, g_p = layer.vjp(x, _params_of(layer, store), g, g_ld, cache.residuals[i],
-                           out=owned(x))
+        out = owned(x)
+        if consume and out is None:
+            out = g     # x is a record; g is the sweep's own array
+        g, g_p = layer.vjp(x, _params_of(layer, store), g, g_ld, cache.residuals[i], out=out)
         if consume:
             cache.inputs[i] = cache.residuals[i] = None
         if g_p is not None:

@@ -292,6 +292,30 @@ def test_blocked_evaluation_matches_small_calls(spline10, theta10, rng):
     assert np.allclose(gth_parts, gth, rtol=1e-9, atol=1e-9 * np.abs(gth).max())
 
 
+def test_vjp_over_its_own_input_gives_the_same_bits(spline10, theta10, rng):
+    """With the forward record, ``vjp`` and ``inv_jac_t`` read nothing of x,
+    so, as in a consuming reverse sweep, x, the cotangent and the output may
+    be one array whose input values are gone.  Over several evaluation
+    blocks and both tails they give the bits of a fresh output and of a call
+    without the record.  No chain reaches the lower tail (every spline input
+    is at least 0 there), so only this test covers it."""
+    x = rng.uniform(-0.2, 1.2, (3, sp._BLOCK + 5))
+    gy, gl, w = (rng.normal(0, 1, x.shape) for _ in range(3))
+    own = x.copy()
+    _, _, res = sp.forward(spline10, theta10, own, out=own)    # own now holds y
+    assert np.array_equal(res.x_lo, x[x < 0.0]) and np.array_equal(res.x_hi, x[x > 1.0])
+    gx, gth = sp.vjp(spline10, theta10, x, gy, gl)
+    fresh = sp.vjp(spline10, theta10, x, gy, gl, res=res)
+    own[...] = gy
+    aliased = sp.vjp(spline10, theta10, own, own, gl, res=res, out=own)
+    assert aliased[0] is own
+    for g_x, g_th in (fresh, aliased):
+        assert np.array_equal(g_x, gx) and np.array_equal(g_th, gth)
+    u = sp.inv_jac_t(spline10, theta10, x, w)
+    own[...] = w
+    assert np.array_equal(sp.inv_jac_t(spline10, theta10, own, own, res=res), u)
+
+
 def test_spline_ops_are_total(spline10, theta10):
     """The interval edges and both linear tails belong to the map: nothing
     outside (0, 1) is rejected."""

@@ -359,14 +359,19 @@ def test_padding_invariance_bitwise(rng):
     assert np.array_equal(z2[:, -1], z[:, -1])
 
 
+def _bench_model_and_batch(rng):
+    """The bench chain at the bench shape: 100 rows of ~1400 events."""
+    model = make_model("tritpp", horizon=100.0, seed=1, noise=0.05, rate_init=14.0,
+                       n_knots=20, block_size=16, n_blocks=4)
+    return model, random_batch(rng, 100, 100.0, 1300, 1500)
+
+
 def test_uncached_passes_peak_at_few_batch_arrays(rng):
     """The uncached passes write every layer's output over one array of their
     own: at the bench chain and shape (100 rows of ~1400 events), the traced
     peak of a forward pass stays within 5 batch-sized arrays (outputs
     included) and that of an inverse pass within 3.5."""
-    model = make_model("tritpp", horizon=100.0, seed=1, noise=0.05, rate_init=14.0,
-                       n_knots=20, block_size=16, n_blocks=4)
-    batch = random_batch(rng, 100, 100.0, 1300, 1500)
+    model, batch = _bench_model_and_batch(rng)
     times = _append_horizon(batch.times, batch.horizon)
     z = tr.compose_forward(times, model.spec, model.params)[0]
     for run, x, bound in ((tr.compose_forward, times, 5.0), (tr.compose_inverse, z, 3.5)):
@@ -383,11 +388,9 @@ def test_uncached_passes_peak_at_few_batch_arrays(rng):
 def test_log_prob_grad_peaks_below_its_cache(rng):
     """``log_prob_grad`` consumes its cache: each layer's VJP writes its
     input cotangent over its own input.  At the bench chain and shape the
-    traced peak stays within 35 batch-sized arrays (the cache alone holds
-    ~29.5)."""
-    model = make_model("tritpp", horizon=100.0, seed=1, noise=0.05, rate_init=14.0,
-                       n_knots=20, block_size=16, n_blocks=4)
-    batch = random_batch(rng, 100, 100.0, 1300, 1500)
+    traced peak stays within 20 batch-sized arrays (the cache alone holds
+    ~14.5)."""
+    model, batch = _bench_model_and_batch(rng)
     nbytes = _append_horizon(batch.times, batch.horizon).nbytes
     log_prob_grad(model, batch)
     tracemalloc.start()
@@ -396,27 +399,62 @@ def test_log_prob_grad_peaks_below_its_cache(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 35.0 * nbytes, peak / nbytes
+    assert peak <= 20.0 * nbytes, peak / nbytes
+
+
+def test_cached_pass_keeps_only_what_the_sweep_reads(rng):
+    """Layers whose VJP reads nothing of their input (FixedScale, the
+    splines, Diff, the sigmoid bridge, Cumsum) run in place in the cached
+    pass, so the bench chain's 15 layers keep 10 distinct input arrays and
+    the cache holds at most 16 batch-sized arrays.  g3 cannot write over its input,
+    which is the sigmoid's record; a sweep that does not consume the cache
+    leaves that record, and every other entry, as it was."""
+    model, batch = _bench_model_and_batch(rng)
+    times = _append_horizon(batch.times, batch.horizon)
+    tracemalloc.start()
+    try:
+        cache = tr.compose_forward_cached(times, model.spec, model.params)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 16.0 * times.nbytes, held / times.nbytes
+    assert len({id(x) for x in cache.inputs}) == 10
+    layers = model.spec.layers
+    i = next(i for i, layer in enumerate(layers) if getattr(layer, "kind", None) == "sigmoid")
+    assert layers[i + 1].name == "g3" and cache.inputs[i + 1] is cache.residuals[i]
+    before = [x.copy() for x in cache.inputs]
+    mask = _append_horizon(batch.mask, 0.0)
+    tr.chain_vjp_cached(cache, rng.normal(0, 1, times.shape), mask)
+    assert all(np.array_equal(x, b) for x, b in zip(cache.inputs, before))
 
 
 def test_in_place_differences_make_no_batch_temporary(rng):
-    """``pairwise_diff(x, out=x)`` walks ``x`` through a small buffer: run in
-    place at the bench shape, ``Diff.forward`` and ``Cumsum.inverse`` peak
-    at a tenth of a batch-sized array and give the bits of a fresh output."""
+    """``pairwise_diff(x, out=x)`` and its transpose walk ``x`` through a
+    small buffer: run in place at the bench shape, as the cached pass and a
+    consuming sweep run them, ``Diff.forward``, ``Cumsum.inverse``,
+    ``Diff.vjp`` and ``Cumsum.vjp`` peak at a tenth of a batch-sized array
+    and give the bits of a fresh output."""
     x = np.cumsum(rng.uniform(0.0, 1.0, (100, 1501)), axis=1)
-    expected = np.concatenate([x[:, :1], np.diff(x, axis=1)], axis=1)
-    for run in (tr.Diff().forward, tr.Cumsum().inverse):
+    diff = np.concatenate([x[:, :1], np.diff(x, axis=1)], axis=1)
+    diff_t = np.concatenate([x[:, :-1] - x[:, 1:], x[:, -1:]], axis=1)
+    zeros = np.zeros_like(x)
+    runs = ((tr.Diff().forward, lambda a: tr.Diff().forward(a, None, out=a), diff),
+            (tr.Cumsum().inverse, lambda a: tr.Cumsum().inverse(a, None, out=a), diff),
+            (tr.Diff().vjp, lambda a: tr.Diff().vjp(a, None, a, zeros, out=a), diff_t),
+            (tr.Cumsum().vjp, lambda a: tr.Cumsum().vjp(a, None, a, zeros, out=a),
+             np.cumsum(x[:, ::-1], axis=1)[:, ::-1]))
+    for method, run, expected in runs:
         own = x.copy()
-        run(own, None, out=own)
-        assert np.array_equal(own, expected)
+        run(own)
+        assert np.array_equal(own, expected), method.__qualname__
         own = x.copy()
         tracemalloc.start()
         try:
-            run(own, None, out=own)
+            run(own)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 0.1 * x.nbytes, (run.__qualname__, peak / x.nbytes)
+        assert peak <= 0.1 * x.nbytes, (method.__qualname__, peak / x.nbytes)
 
 
 def test_jacobian_determinant_small_n(rng):
