@@ -251,14 +251,6 @@ class SamplePaths:
     cache_ext: ChainCache     # forward at the extended times (log-Jacobian)
     cache_clip: ChainCache    # forward at the clipped times (compensator)
 
-    @property
-    def jext(self):
-        return self.cache_ext.logdiag
-
-    @property
-    def zbar(self):
-        return self.cache_clip.z
-
 
 def prepare_paths(model: TppModel, t_ext, gamma: float | None) -> SamplePaths:
     smp = _finish_sample(model, np.asarray(t_ext, dtype=np.float64))
@@ -288,7 +280,7 @@ def draw_paths(model: TppModel, n_samples: int, gamma: float, seed: int = 0,
 def path_log_density(paths: SamplePaths, relaxed: bool) -> np.ndarray:
     """log q(t) of each sampled row: masked log-diagonals minus compensator."""
     m = paths.soft_mask if relaxed else paths.hard_mask
-    return _row_log_density(m, paths.jext, paths.zbar)
+    return _row_log_density(m, paths.cache_ext.logdiag, paths.cache_clip.z)
 
 
 def path_gradients(paths: SamplePaths, relaxed: bool, g_mask=None, g_tclip=None):
@@ -319,7 +311,8 @@ def path_gradients(paths: SamplePaths, relaxed: bool, g_mask=None, g_tclip=None)
     gp, g_t = tr.chain_vjp_cached(paths.cache_ext, np.zeros(shape), -(m * inv_b))
     grad += gp
     if relaxed:
-        g_m = -paths.jext if g_mask is None else g_mask - paths.jext
+        jext = paths.cache_ext.logdiag
+        g_m = -jext if g_mask is None else g_mask - jext
         # d soft_mask / d t = -sigma'((T - t) / gamma) / gamma
         s = paths.soft_mask
         g_t += g_m * inv_b * (-s * (1.0 - s) / paths.gamma)

@@ -12,22 +12,26 @@ a spline writes out only its output and log-diagonal).  A constant
 log-diagonal is a read-only broadcast view.  A layer's ``reads_input`` says
 whether its ``vjp`` and ``inv_jac_t`` read ``x`` beside the record.
 
-``forward`` and ``inverse`` take ``out`` in the sense of NumPy's ``out=``:
-the output is written there when it is given, and ``out`` may be the input
-itself.  ``compose_forward`` and ``compose_inverse`` copy the caller's array
-once and let every layer overwrite its input.  ``compose_forward_cached``
-keeps what the reverse sweep reads: a layer that reads its input writes a
-fresh output, and the others write over their input, which the cache then
-shares with the next layer.  ``vjp`` takes ``out`` in the same sense, and
-the last reader of a cache consumes it: ``chain_vjp_cached(...,
-consume=True)`` hands each layer its own input as ``out`` unless another
-layer reads that array as its record, then drops the layer's input and
-record, and refuses a second pass with ``ValueError``.
+``forward``, ``inverse`` and ``vjp`` take ``out`` in the sense of NumPy's
+``out=``: the output is written there when it is given, and ``out`` may be
+the input itself.  Every pass owns one array and lets each layer write over
+it: ``compose_forward`` and ``compose_inverse`` a copy of the caller's rows,
+``chain_vjp_cached`` its cotangent.  ``compose_forward_cached`` keeps what
+the reverse sweep reads: a layer that reads its input writes a fresh output,
+and the others write over their input, which the cache then shares with the
+next layer.  The last reader of a cache consumes it:
+``chain_vjp_cached(..., consume=True)`` starts its cotangent in ``cache.z``,
+drops each layer's input and record once past it, and refuses a second pass
+with ``ValueError``.
 
 Padding semantics: rows are padded by repeating the horizon, which makes the
-padded inter-event gaps exactly zero.  Gap-space layers pin those zero gaps
-through the chain (a zero gap maps to a zero increment for every parameter
-value), so appending more padding never changes a result by even one bit.
+padded inter-event gaps exactly zero.  The layers from the ``Diff`` through
+the next ``Cumsum`` (``TransformSpec.pinned``) pin those zero gaps: each pass
+takes its mask from the zeros of the first pinned array it meets (the
+``Diff``'s output going forward, the ``Cumsum``'s inverse output going back)
+and zeroes there the output of every pinned layer with ``force_fwd``.  A zero
+gap maps to a zero increment for every parameter value, so appending more
+padding never changes a result by even one bit.
 """
 from __future__ import annotations
 
@@ -139,7 +143,6 @@ class Spline:
     n_knots: int
 
     force_fwd = True
-    force_inv = True
     reads_input = False   # the record holds the bins, xi and the tail inputs
 
     @property
@@ -177,7 +180,6 @@ class BlockDiag:
     offset: int = 0
 
     force_fwd = False
-    force_inv = False
     reads_input = True
 
     def __post_init__(self):
@@ -268,7 +270,6 @@ class Scale:
     name: str
 
     force_fwd = True
-    force_inv = True
     reads_input = True
     n_params = 1
 
@@ -294,7 +295,6 @@ class FixedScale:
     value: float
 
     force_fwd = True
-    force_inv = True
     reads_input = False
     n_params = 0
     name = None
@@ -382,10 +382,6 @@ class Bridge:
         return self.kind != "logit"   # logit output lives in R
 
     @property
-    def force_inv(self):
-        return self.kind != "sigmoid"  # sigmoid input lives in R
-
-    @property
     def reads_input(self):
         return self.kind != "sigmoid"  # sigmoid reads its record, its own output
 
@@ -452,7 +448,6 @@ class Cumsum:
     n_params = 0
     name = None
     force_fwd = False
-    force_inv = False
     reads_input = False
 
     def forward(self, x, p, keep=True, out=None):
@@ -475,7 +470,6 @@ class Diff:
     n_params = 0
     name = None
     force_fwd = True   # zero gaps stay exactly zero
-    force_inv = False
     reads_input = False
 
     def forward(self, x, p, keep=True, out=None):
@@ -527,7 +521,11 @@ def _field_key(f):
 
 @dataclass(frozen=True)
 class TransformSpec:
-    """Ordered layer chain; ``layers[0]`` is applied to the times first."""
+    """Ordered layer chain; ``layers[0]`` is applied to the times first.
+
+    ``pinned`` is the range of layers whose outputs hold the padding's zero
+    gaps, from the ``Diff`` through the next ``Cumsum`` (empty without them).
+    """
 
     layers: tuple
 
@@ -535,6 +533,18 @@ class TransformSpec:
         names = [l.name for l in self.layers if l.n_params > 0]
         if len(names) != len(set(names)):
             raise ValueError(f"learnable layer names must be unique, got {names}")
+        diff = cumsum = None
+        for i, layer in enumerate(self.layers):
+            if isinstance(layer, Diff) and diff is None:
+                diff = i
+            elif isinstance(layer, Cumsum) and diff is not None and cumsum is None:
+                cumsum = i
+            elif isinstance(layer, (Diff, Cumsum)):
+                raise ValueError(f"layer {i} ({type(layer).__name__}) is outside the one pinned "
+                                 "run a chain may have, from a Diff through the next Cumsum")
+        if diff is not None and cumsum is None:
+            raise ValueError(f"layer {diff} (Diff) has no later Cumsum to end its pinned run")
+        object.__setattr__(self, "pinned", range(0) if diff is None else range(diff, cumsum + 1))
 
     def to_dict(self) -> dict:
         return {"layers": [{"kind": _LAYER_KINDS[type(l)],
@@ -603,6 +613,12 @@ def _validate_rows(x, what):
         raise ValueError(f"{what} rows must be non-decreasing")
 
 
+def _zeros_of(y):
+    """The pin mask of a pass: where ``y`` is zero, or None if nowhere."""
+    pin = y == 0.0
+    return pin if pin.any() else None
+
+
 def _run_forward(times, spec, store, validate, keep=False):
     """Forward pass on a copy of ``times``.
 
@@ -618,14 +634,14 @@ def _run_forward(times, spec, store, validate, keep=False):
     logdiag = np.zeros_like(x)
     inputs, residuals, pins = [], [], []
     pin = None
-    for layer in spec.layers:
+    for i, layer in enumerate(spec.layers):
         p = _params_of(layer, store)
         in_place = not (keep and (layer.reads_input or any(r is x for r in residuals)))
         y, ld, res = layer.forward(x, p, keep, out=x if in_place else None)
-        if isinstance(layer, Diff):
-            pin = y == 0.0
-            if not pin.any():
-                pin = None
+        if i not in spec.pinned:
+            pin = None
+        elif i == spec.pinned.start:
+            pin = _zeros_of(y)
             free = None if pin is None else ~pin
         if pin is None:
             logdiag += ld
@@ -642,8 +658,6 @@ def _run_forward(times, spec, store, validate, keep=False):
         pins.append(pin)
         x = y
         del y, ld, res   # free this layer's log-diagonal before the next layer runs
-        if isinstance(layer, Cumsum):
-            pin = None
     return x, logdiag, inputs, pins, residuals
 
 
@@ -671,17 +685,16 @@ def compose_inverse(z, spec: TransformSpec, store: ParamStore, validate: bool = 
     y = np.array(z, dtype=np.float64, order="C", ndmin=2)
     if validate:
         _validate_rows(y, "z")
-    pin = None
-    for layer in reversed(spec.layers):
-        layer.inverse(y, _params_of(layer, store), out=y)
-        if isinstance(layer, Cumsum):
-            pin = y == 0.0
-            if not pin.any():
-                pin = None
-        if pin is not None and layer.force_inv:
-            np.copyto(y, 0.0, where=pin)
-        if isinstance(layer, Diff):
+    layers, pin = spec.layers, None
+    for i in range(len(layers) - 1, -1, -1):
+        layers[i].inverse(y, _params_of(layers[i], store), out=y)
+        # y now holds the forward output of layer i - 1
+        if i - 1 not in spec.pinned:
             pin = None
+        elif i == spec.pinned[-1]:
+            pin = _zeros_of(y)
+        if pin is not None and layers[i - 1].force_fwd:
+            np.copyto(y, 0.0, where=pin)
     return y
 
 
@@ -691,33 +704,25 @@ def chain_vjp_cached(cache: ChainCache, cot_z, cot_logdiag, consume: bool = Fals
     ``cot_z`` and ``cot_logdiag`` are cotangents of the two outputs; returns
     ``(grad_params, grad_times)`` with ``grad_params`` flat like the store.
 
-    Without ``consume`` the cache is left as it was and may be read again.
-    With ``consume`` the sweep is the cache's last reader and writes over
-    it: ``cot_z`` is copied into ``cache.z``, which no layer reads, and each
-    layer writes its input cotangent over its own input (``vjp(..., out=)``),
-    after which that input and record are dropped.  Where a layer ran in
-    place, its input, its output cotangent and ``out`` are one array.  An
-    array that is also a layer's record is never written (the sigmoid
-    bridge's record is its output, the next layer's input); a layer whose
-    input is one writes over the sweep's current cotangent instead.
-    ``grad_times`` then lives in the cache's first input, and a later pass
-    over the cache raises ``ValueError``.
+    The sweep keeps one cotangent array ``g`` of its own, and every layer
+    writes its input cotangent over it (``vjp(..., out=g)``), never over a
+    layer input or record.  Without ``consume`` ``g`` is a copy of ``cot_z``
+    and the cache may be read again.  With ``consume`` the sweep is the cache's
+    last reader: ``cot_z`` is copied into ``cache.z`` (unless a layer reads
+    that array as its record), which then serves as ``g`` and so ends up
+    holding ``grad_times``; each layer's input and record are dropped once
+    its VJP has run, and a later pass over the cache raises ``ValueError``.
     """
     _check_live(cache)
     spec, store = cache.spec, cache.store
     g_ld_full = np.asarray(cot_logdiag, dtype=np.float64)
     if np.shape(cot_z) != cache.z.shape or g_ld_full.shape != cache.z.shape:
         raise ValueError("cotangent shapes must match the forward output")
-
-    def owned(a):
-        """``a`` when the sweep may write over it, else None."""
-        return a if consume and all(r is not a for r in cache.residuals) else None
-
-    g = owned(cache.z)
-    if g is None:
-        g = np.array(cot_z, dtype=np.float64, copy=True)
-    else:
+    if consume and all(r is not cache.z for r in cache.residuals):
+        g = cache.z
         np.copyto(g, cot_z)
+    else:
+        g = np.array(cot_z, dtype=np.float64, order="C")
     if consume:
         cache.z = None
     grad = np.zeros_like(store.values)
@@ -733,11 +738,8 @@ def chain_vjp_cached(cache: ChainCache, cot_z, cot_logdiag, consume: bool = Fals
             g_ld = g_ld_masked
             if layer.force_fwd:
                 np.copyto(g, 0.0, where=pin)   # the sweep's own array
-        x = cache.inputs[i]
-        out = owned(x)
-        if consume and out is None:
-            out = g     # x is a record; g is the sweep's own array
-        g, g_p = layer.vjp(x, _params_of(layer, store), g, g_ld, cache.residuals[i], out=out)
+        g, g_p = layer.vjp(cache.inputs[i], _params_of(layer, store), g, g_ld,
+                           cache.residuals[i], out=g)
         if consume:
             cache.inputs[i] = cache.residuals[i] = None
         if g_p is not None:

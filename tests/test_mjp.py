@@ -453,7 +453,8 @@ def test_elbo_hard_equals_unrelaxed_assembly(rng):
     for r in range(6):
         n_real = int(paths.hard_mask[r].sum())
         _, lz = mjp.forward_backward(obs, paths.t_ext[r, :n_real], p, 5.0)
-        lq = float((paths.hard_mask[r] * paths.jext[r]).sum() - paths.zbar[r, -1])
+        lq = float((paths.hard_mask[r] * paths.cache_ext.logdiag[r]).sum()
+                   - paths.cache_clip.z[r, -1])
         assert est.per_sample[r] == pytest.approx(lz - lq, abs=1e-10)
 
 

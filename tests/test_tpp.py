@@ -310,9 +310,9 @@ def test_entropy_validation():
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_consuming_vjp_gives_the_same_bits(rng, kind):
-    """A consuming sweep writes each layer's input cotangent over that
-    layer's own input, never over an array another layer still reads (the
-    sigmoid bridge's record is the next spline's input).  On the padded rows
+    """A consuming sweep runs in ``cache.z`` and drops each cache entry once
+    past it, never writing an array another layer still reads (the sigmoid
+    bridge's record is the next spline's input).  On the padded rows
     of ``test_chain_vjp_padded_batch_in_spline_tails`` (pinned gaps, times
     past the horizon in the spline tails) its gradients equal those of a
     sweep that leaves the cache alone, bit for bit, and a cache left alone

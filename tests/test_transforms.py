@@ -359,6 +359,45 @@ def test_padding_invariance_bitwise(rng):
     assert np.array_equal(z2[:, -1], z[:, -1])
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_inverse_padding_invariance_bitwise(rng, kind):
+    """Inverting the forward output of a wider padded batch gives the
+    narrower batch's inverse on the shared columns, bit for bit, and each
+    row's padding comes back as one value repeated exactly."""
+    model = make_model(kind, horizon=10.0, seed=2, noise=0.4)
+    batch = random_batch(rng, 4, 10.0)
+    times = _append_horizon(batch.times, batch.horizon)
+    wider = np.concatenate([times, np.full((4, 6), 10.0)], axis=1)
+    back, back_wide = (tr.compose_inverse(tr.compose_forward(t, model.spec, model.params)[0],
+                                          model.spec, model.params) for t in (times, wider))
+    assert np.array_equal(back_wide[:, :times.shape[1]], back)
+    for row, n_events in zip(back_wide, batch.mask.sum(axis=1).astype(int)):
+        assert np.all(row[n_events:] == row[n_events])
+
+
+def test_spec_pins_one_run_from_diff_to_cumsum():
+    """The pinned run is worked out once, from the Diff through the next
+    Cumsum; a chain where it would be ill-defined is refused and the layer
+    named, while every model kind builds and reloads with its run."""
+    for kind in ALL_KINDS:
+        spec = make_model(kind, noise=0.0).spec
+        run = spec.pinned
+        assert tr.TransformSpec.from_dict(spec.to_dict()).pinned == run
+        if kind in ("hpp", "ipp"):
+            assert len(run) == 0
+        else:
+            assert isinstance(spec.layers[run[0]], tr.Diff)
+            assert isinstance(spec.layers[run[-1]], tr.Cumsum) and run[-1] == len(spec.layers) - 1
+    scale, diff, cumsum = tr.Scale("s"), tr.Diff(), tr.Cumsum()
+    for layers, index in (((scale, diff), 1),                      # no later Cumsum
+                          ((cumsum, diff), 0),                     # no earlier Diff
+                          ((diff, scale, cumsum, diff, cumsum), 3),  # a second pair
+                          ((diff, diff, cumsum), 1),
+                          ((diff, cumsum, cumsum), 2)):
+        with pytest.raises(ValueError, match=f"layer {index} "):
+            tr.TransformSpec(layers)
+
+
 def _bench_model_and_batch(rng):
     """The bench chain at the bench shape: 100 rows of ~1400 events."""
     model = make_model("tritpp", horizon=100.0, seed=1, noise=0.05, rate_init=14.0,
@@ -386,8 +425,9 @@ def test_uncached_passes_peak_at_few_batch_arrays(rng):
 
 
 def test_log_prob_grad_peaks_below_its_cache(rng):
-    """``log_prob_grad`` consumes its cache: each layer's VJP writes its
-    input cotangent over its own input.  At the bench chain and shape the
+    """``log_prob_grad`` consumes its cache: every layer's VJP writes its
+    input cotangent over the sweep's own array, which starts in ``cache.z``,
+    and the sweep drops each cache entry it has passed.  At the bench chain and shape the
     traced peak stays within 20 batch-sized arrays (the cache alone holds
     ~14.5)."""
     model, batch = _bench_model_and_batch(rng)
@@ -406,9 +446,10 @@ def test_cached_pass_keeps_only_what_the_sweep_reads(rng):
     """Layers whose VJP reads nothing of their input (FixedScale, the
     splines, Diff, the sigmoid bridge, Cumsum) run in place in the cached
     pass, so the bench chain's 15 layers keep 10 distinct input arrays and
-    the cache holds at most 16 batch-sized arrays.  g3 cannot write over its input,
-    which is the sigmoid's record; a sweep that does not consume the cache
-    leaves that record, and every other entry, as it was."""
+    the cache holds at most 16 batch-sized arrays.  g3's input is the
+    sigmoid's record.  A sweep that does not consume the cache leaves that
+    record, and every other entry, as it was, and runs in place in its own
+    cotangent: its traced peak stays below 3.8 batch-sized arrays."""
     model, batch = _bench_model_and_batch(rng)
     times = _append_horizon(batch.times, batch.horizon)
     tracemalloc.start()
@@ -424,8 +465,17 @@ def test_cached_pass_keeps_only_what_the_sweep_reads(rng):
     assert layers[i + 1].name == "g3" and cache.inputs[i + 1] is cache.residuals[i]
     before = [x.copy() for x in cache.inputs]
     mask = _append_horizon(batch.mask, 0.0)
-    tr.chain_vjp_cached(cache, rng.normal(0, 1, times.shape), mask)
+    cot_z = rng.normal(0, 1, times.shape)
+    tracemalloc.start()
+    try:
+        tr.chain_vjp_cached(cache, cot_z, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert all(np.array_equal(x, b) for x, b in zip(cache.inputs, before))
+    # every layer writes over the sweep's own cotangent: that copy of cot_z,
+    # the masked cot_logdiag and the pin mask, not a fresh array per layer
+    assert peak <= 3.8 * times.nbytes, peak / times.nbytes
 
 
 def test_in_place_differences_make_no_batch_temporary(rng):
