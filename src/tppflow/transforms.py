@@ -29,9 +29,13 @@ padded inter-event gaps exactly zero.  The layers from the ``Diff`` through
 the next ``Cumsum`` (``TransformSpec.pinned``) pin those zero gaps: each pass
 takes its mask from the zeros of the first pinned array it meets (the
 ``Diff``'s output going forward, the ``Cumsum``'s inverse output going back)
-and zeroes there the output of every pinned layer with ``force_fwd``.  A zero
-gap maps to a zero increment for every parameter value, so appending more
-padding never changes a result by even one bit.
+and zeroes one array there, at an end of the run: the ``Cumsum``'s input
+going forward (z repeats Lambda(T) over the padding), the ``Diff``'s output
+going back (padded times come back as T), the reverse sweep's cotangent just
+past the ``Cumsum``.  Inside the run pinned values stay finite (``CLAMP`` and
+the sigmoid's clip bound them), but the map is lower triangular and padding
+trails the events, so no real position reads them: appending more padding
+never changes a result by even one bit.
 """
 from __future__ import annotations
 
@@ -83,18 +87,12 @@ class DomainError(ValueError):
 # primitive vector operations
 
 
-def pairwise_diff(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise adjacent differences, first element kept; inverse of cumsum.
-
-    Written into ``out`` when it is given, which may be ``x``.  The flat
-    array is walked right to left in blocks through a small buffer: a block
-    reads only elements left of those already written (NumPy would copy the
-    whole overlapping operand of one in-place subtraction).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty(x.shape) if out is None else out
-    n = x.shape[-1]
-    src, dst = x.reshape(-1), sp.c_view(out, -1)
+def _diff_flat(src: np.ndarray, dst: np.ndarray, n: int) -> None:
+    """``dst[i] = src[i] - src[i - 1]`` over flat rows of length ``n``, row
+    starts copied; ``dst`` may be ``src``.  Walked right to left in blocks
+    through a small buffer, a block reads only elements left of those already
+    written (NumPy would copy the whole overlapping operand of one in-place
+    subtraction)."""
     buf = np.empty(min(sp._BLOCK, src.size))
     for stop in range(src.size, 1, -sp._BLOCK):
         start = max(1, stop - sp._BLOCK)
@@ -104,30 +102,27 @@ def pairwise_diff(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         part[first - start::n] = src[first:stop:n]
         dst[start:stop] = part
     dst[:1] = src[:1]
+
+
+def pairwise_diff(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise adjacent differences, first element kept; inverse of cumsum.
+
+    Written into ``out`` when it is given, which may be ``x``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty(x.shape) if out is None else out
+    _diff_flat(x.reshape(-1), sp.c_view(out, -1), x.shape[-1])
     return out
 
 
 def _diff_t(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Transpose of the row-wise adjacent difference.
-
-    Written into ``out`` when it is given, which may be ``x``.  The mirror
-    of ``pairwise_diff``: the flat array is walked left to right in blocks
-    through a small buffer, and a block reads only elements right of those
-    already written.
+    """Transpose of the row-wise adjacent difference: ``pairwise_diff`` of the
+    reversed flat array, as ``reversed_cumsum`` is ``np.cumsum`` of reversed
+    rows.  Written into ``out`` when it is given, which may be ``x``.
     """
     x = np.asarray(x, dtype=np.float64)
     out = np.empty(x.shape) if out is None else out
-    n = x.shape[-1]
-    src, dst = x.reshape(-1), sp.c_view(out, -1)
-    buf = np.empty(min(sp._BLOCK, src.size))
-    for start in range(0, src.size - 1, sp._BLOCK):
-        stop = min(start + sp._BLOCK, src.size - 1)
-        part = buf[:stop - start]
-        np.subtract(src[start:stop], src[start + 1:stop + 1], out=part)
-        last = start + (n - 1 - start) % n      # the block's first row end
-        part[last - start::n] = src[last:stop:n]
-        dst[start:stop] = part
-    dst[-1:] = src[-1:]
+    _diff_flat(x.reshape(-1)[::-1], sp.c_view(out, -1)[::-1], x.shape[-1])
     return out
 
 
@@ -142,7 +137,6 @@ class Spline:
     name: str
     n_knots: int
 
-    force_fwd = True
     reads_input = False   # the record holds the bins, xi and the tail inputs
 
     @property
@@ -179,7 +173,6 @@ class BlockDiag:
     size: int
     offset: int = 0
 
-    force_fwd = False
     reads_input = True
 
     def __post_init__(self):
@@ -269,7 +262,6 @@ class Scale:
 
     name: str
 
-    force_fwd = True
     reads_input = True
     n_params = 1
 
@@ -294,7 +286,6 @@ class FixedScale:
 
     value: float
 
-    force_fwd = True
     reads_input = False
     n_params = 0
     name = None
@@ -378,10 +369,6 @@ class Bridge:
             raise ValueError(f"unknown bridge kind {self.kind!r}")
 
     @property
-    def force_fwd(self):
-        return self.kind != "logit"   # logit output lives in R
-
-    @property
     def reads_input(self):
         return self.kind != "sigmoid"  # sigmoid reads its record, its own output
 
@@ -447,7 +434,6 @@ class Cumsum:
 
     n_params = 0
     name = None
-    force_fwd = False
     reads_input = False
 
     def forward(self, x, p, keep=True, out=None):
@@ -469,7 +455,6 @@ class Diff:
 
     n_params = 0
     name = None
-    force_fwd = True   # zero gaps stay exactly zero
     reads_input = False
 
     def forward(self, x, p, keep=True, out=None):
@@ -523,8 +508,8 @@ def _field_key(f):
 class TransformSpec:
     """Ordered layer chain; ``layers[0]`` is applied to the times first.
 
-    ``pinned`` is the range of layers whose outputs hold the padding's zero
-    gaps, from the ``Diff`` through the next ``Cumsum`` (empty without them).
+    ``pinned`` is the run of layers from the ``Diff`` through the next
+    ``Cumsum`` (empty without them); the passes zero the padding at its ends.
     """
 
     layers: tuple
@@ -646,12 +631,11 @@ def _run_forward(times, spec, store, validate, keep=False):
         if pin is None:
             logdiag += ld
         else:
-            # y is this pass's own array, so pin it in place; ld may be a
-            # read-only view.  logdiag starts at +0.0 and so is never -0.0:
-            # skipping its pinned positions equals adding a pinned 0.0 there.
-            if layer.force_fwd:
-                np.copyto(y, 0.0, where=pin)
+            # ld may be a read-only view.  logdiag is never -0.0, so skipping
+            # its pinned positions equals adding a pinned 0.0 there.
             np.add(logdiag, ld, out=logdiag, where=free)
+            if i == spec.pinned[-1] - 1:       # the Cumsum's input
+                np.copyto(y, 0.0, where=pin)
         if keep:
             inputs.append(x)
             residuals.append(res)
@@ -685,16 +669,14 @@ def compose_inverse(z, spec: TransformSpec, store: ParamStore, validate: bool = 
     y = np.array(z, dtype=np.float64, order="C", ndmin=2)
     if validate:
         _validate_rows(y, "z")
-    layers, pin = spec.layers, None
+    layers, run, pin = spec.layers, spec.pinned, None
     for i in range(len(layers) - 1, -1, -1):
         layers[i].inverse(y, _params_of(layers[i], store), out=y)
         # y now holds the forward output of layer i - 1
-        if i - 1 not in spec.pinned:
-            pin = None
-        elif i == spec.pinned[-1]:
+        if run and i == run[-1]:
             pin = _zeros_of(y)
-        if pin is not None and layers[i - 1].force_fwd:
-            np.copyto(y, 0.0, where=pin)
+        if pin is not None and i - 1 == run.start:
+            np.copyto(y, 0.0, where=pin)   # the Diff's output: padded times come back as T
     return y
 
 
@@ -712,6 +694,9 @@ def chain_vjp_cached(cache: ChainCache, cot_z, cot_logdiag, consume: bool = Fals
     that array as its record), which then serves as ``g`` and so ends up
     holding ``grad_times``; each layer's input and record are dropped once
     its VJP has run, and a later pass over the cache raises ``ValueError``.
+
+    Over the pinned run the sweep masks ``cot_logdiag`` at pinned positions
+    and zeroes ``g`` there once, just past the ``Cumsum``'s VJP.
     """
     _check_live(cache)
     spec, store = cache.spec, cache.store
@@ -726,20 +711,15 @@ def chain_vjp_cached(cache: ChainCache, cot_z, cot_logdiag, consume: bool = Fals
     if consume:
         cache.z = None
     grad = np.zeros_like(store.values)
-    masked_pin, g_ld_masked = None, None
+    pin = next((p for p in cache.pins if p is not None), None)    # the run's one mask
+    g_ld_pinned = None if pin is None else np.where(pin, 0.0, g_ld_full)
     for i in range(len(spec.layers) - 1, -1, -1):
         layer = spec.layers[i]
-        pin = cache.pins[i]
-        if pin is None:
-            g_ld = g_ld_full
-        else:
-            if pin is not masked_pin:     # one pin mask serves a run of layers
-                masked_pin, g_ld_masked = pin, np.where(pin, 0.0, g_ld_full)
-            g_ld = g_ld_masked
-            if layer.force_fwd:
-                np.copyto(g, 0.0, where=pin)   # the sweep's own array
+        g_ld = g_ld_full if cache.pins[i] is None else g_ld_pinned
         g, g_p = layer.vjp(cache.inputs[i], _params_of(layer, store), g, g_ld,
                            cache.residuals[i], out=g)
+        if pin is not None and i == spec.pinned[-1]:
+            np.copyto(g, 0.0, where=pin)   # the cotangent of the Cumsum's input
         if consume:
             cache.inputs[i] = cache.residuals[i] = None
         if g_p is not None:
