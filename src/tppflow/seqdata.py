@@ -62,6 +62,8 @@ class PaddedBatch:
 
     ``times`` is (B, N') with events first, then T entries; ``mask`` is 1.0 on
     events and 0.0 on padding, non-increasing left to right within a row.
+    Real events (mask > 0) are held to ``EventSequence``'s rules: each after
+    time 0, and no two at the same time.
     """
 
     times: np.ndarray
@@ -78,12 +80,23 @@ class PaddedBatch:
             raise ValueError(f"times {t.shape} and mask {m.shape} must have the same shape")
         if t.ndim != 2 or t.shape[1] < 1:
             raise ValueError("padded batch must be (B, N') with N' >= 1")
-        if np.any(np.diff(t, axis=1) < 0):
+        gaps = np.diff(t, axis=1)
+        if np.any(gaps < 0):
             raise ValueError("padded rows must be non-decreasing")
         if np.any((m < 0) | (m > 1)):
             raise ValueError("mask entries must lie in [0, 1]")
         if np.any(np.diff(m, axis=1) > 0):
             raise ValueError("mask must be non-increasing within each row")
+        real = m > 0.0
+        bad = np.argwhere(real & (t <= 0.0))
+        if bad.size:
+            r, i = bad[0]
+            raise ValueError(f"row {r}: event time at index {i} must be > 0")
+        bad = np.argwhere(real[:, 1:] & (gaps == 0.0))
+        if bad.size:
+            r, i = bad[0]
+            raise ValueError(f"row {r}: event times must be strictly increasing: "
+                             f"violation at index {i + 1}")
 
     @property
     def batch_size(self) -> int:

@@ -69,6 +69,10 @@ class Knots(NamedTuple):
     h: np.ndarray   # (K-1,) bin heights
     s: np.ndarray   # (K-1,) bin slopes h / w
     mm: np.ndarray  # (K-1,) d_lo + d_hi - 2s: the rational function's den = s + mm * u
+    two_a: np.ndarray  # (K-1,) 2 (s - d_lo): q = d_lo + xi (two_a + mm xi)
+    delta: np.ndarray  # (K-1,) _slope_units' per-bin constants d_lo / s, delta + d_hi / s - 2
+    mu: np.ndarray     # and 2 (1 - delta)
+    two_b: np.ndarray
     sm_w: np.ndarray
     sm_h: np.ndarray
     sig_d: np.ndarray
@@ -83,10 +87,9 @@ class Residuals(NamedTuple):
     """What one forward evaluation leaves for ``vjp`` and ``inv_jac_t``.
 
     Only the bin and the position inside it are kept per element; the
-    rational function's num, den and q are recomputed from them by the
-    forward's own expressions (``_rational``), so to the same bits.  The
-    tail inputs are kept too, so that neither reads ``x``: a pass may write
-    over the input once the record is built.
+    derivatives are recomputed from them in units of the bin's slope
+    (``_slope_units``).  The tail inputs are kept too, so that neither
+    reads ``x``: a pass may write over the input once the record is built.
     """
 
     k: np.ndarray              # bin of each (clipped) input; uint8 up to 256 bins
@@ -131,7 +134,9 @@ def make_knots(spline: RqsSpline, theta: np.ndarray) -> Knots:
     d = MIN_DERIV + np.logaddexp(0.0, td + _DERIV_SHIFT)
     s = h / w
     mm = d[1:] + d[:-1] - 2.0 * s
-    return Knots(x, y, d, w, h, s, mm, sm_w, sm_h, sig_d, _grid_table(x), _grid_table(y),
+    delta = d[:-1] / s
+    return Knots(x, y, d, w, h, s, mm, 2.0 * (s - d[:-1]), delta, delta + d[1:] / s - 2.0,
+                 2.0 * (1.0 - delta), sm_w, sm_h, sig_d, _grid_table(x), _grid_table(y),
                  h * (s - d[:-1]), h * d[:-1], -s)
 
 
@@ -213,19 +218,38 @@ def _by_blocks(fn, *arrays, out=None):
 
 
 def _rational(kn: Knots, k, xi):
-    """s, u = xi (1 - xi), num, den and q of bins ``k`` (intp) at positions ``xi``.
+    """s, num, den and q of bins ``k`` (intp) at positions ``xi``: the forward's value path.
 
-    value = y_k + h num / den and derivative = s^2 q / den^2.  ``forward``,
-    ``vjp`` and ``inv_jac_t`` all evaluate them here, so a record's bin and
-    xi give back the forward's num, den and q bit for bit.
+    value = y_k + h num / den and derivative = s^2 q / den^2, with
+    u = xi (1 - xi), num = s xi^2 + d_lo u, den = s + mm u, and q, which only
+    the derivative reads, in Horner form: q = d_lo + xi (2a + mm xi) with
+    a = s - d_lo.
     """
     u = xi * (1.0 - xi)
     s = kn.s[k]
     dlo = kn.d[:-1][k]
+    mm_k = kn.mm[k]
     num = s * xi * xi + dlo * u
-    den = s + kn.mm[k] * u
-    q = kn.d[1:][k] * xi * xi + 2.0 * s * u + dlo * (1.0 - xi) ** 2
-    return s, u, num, den, q
+    den = s + mm_k * u
+    q = dlo + xi * (kn.two_a[k] + mm_k * xi)
+    return s, num, den, q
+
+
+def _slope_units(kn: Knots, k, xi):
+    """delta, mu, u, D, Q and dQ/dxi of bins ``k`` (intp) at positions ``xi``.
+
+    In units of the bin's slope s, with delta = d_lo / s, eps = d_hi / s and
+    mu = delta + eps - 2: num / den = N / D and s^2 q / den^2 = s Q / D^2, where
+    N = xi^2 + delta u, D = 1 + mu u and Q = delta + xi (2 (1 - delta) + mu xi).
+    With delta and eps held fixed the value does not depend on s, and the
+    log-derivative moves as log s.
+    """
+    dl = kn.delta[k]
+    mu = kn.mu[k]
+    u = xi * (1.0 - xi)
+    mu_xi = mu * xi
+    inner = kn.two_b[k] + mu_xi
+    return dl, mu, u, 1.0 + mu * u, dl + xi * inner, inner + mu_xi
 
 
 def forward(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, keep: bool = True,
@@ -239,7 +263,6 @@ def forward(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, keep: bool = Tr
     """
     kn = make_knots(spline, theta)
     x = np.asarray(x, dtype=np.float64)
-    two_log_s = 2.0 * np.log(kn.s)
     d0, d1 = kn.d[0], kn.d[-1]
     log_d0, log_d1 = np.log(d0), np.log(d1)
     x_lo, x_hi = [], []    # tail inputs, block by block
@@ -249,9 +272,9 @@ def forward(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, keep: bool = Tr
         k_small = _bin_index(kn.x_grid, xc)
         k = k_small.astype(np.intp)
         xi = np.clip((xc - kn.x[k]) / kn.w[k], 0.0, 1.0)
-        _, _, num, den, q = _rational(kn, k, xi)
+        s, num, den, q = _rational(kn, k, xi)
         y = kn.y[k] + kn.h[k] * num / den
-        ld = two_log_s[k] + np.log(q) - 2.0 * np.log(den)
+        ld = np.log(s * s * q / (den * den))
         # linear tails; their inputs are taken before ``out`` (maybe x) is written
         lo = v < 0.0
         hi = v > 1.0
@@ -315,7 +338,9 @@ def vjp(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, g_y: np.ndarray, g_
     """Pull cotangents on (value, logderiv) back to (input, parameters).
 
     ``res`` is the record ``forward`` returned for this ``x``; without it
-    the forward pass is run here.  All partial derivatives are analytic.
+    the forward pass is run here.  All partial derivatives are analytic,
+    taken in units of the bin's slope (``_slope_units``): per element only
+    the partials in xi, delta and eps, and the cotangent of s once per bin.
     Returns ``(g_x, g_theta)`` with ``g_theta`` flat like theta; ``g_x`` is
     written into ``out`` when it is given.  With ``res``, ``x`` is not read,
     and ``out`` may be ``x``, ``g_y`` or both: ``g_y`` is read block by
@@ -335,9 +360,8 @@ def vjp(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, g_y: np.ndarray, g_
         g_d1 = float(g_y[res.hi] @ (res.x_hi - 1.0) + g_ld[res.hi].sum() / d1)
     tails = [(t, d) for t, d in ((res.lo, d0), (res.hi, d1)) if t is not None]
 
-    # Inside a bin: y = y_k + h num/den and logderiv = 2 log s + log q - 2 log den,
-    # with s = h/w, den = s + mm u, mm = d_lo + d_hi - 2s, u = xi (1 - xi).
-    s_minus_dlo = kn.s - kn.d[:-1]
+    # Inside a bin: y = y_k + h N/D and logderiv = log s + log Q - 2 log D;
+    # num, den and q below are N, D and Q of ``_slope_units``
     inv_w = 1.0 / kn.w
 
     sums = np.zeros((7, m))
@@ -349,24 +373,21 @@ def vjp(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, g_y: np.ndarray, g_
         if masks:     # the bins' partials see no cotangent from tail positions
             in_tail = masks[0] if len(masks) == 1 else masks[0] | masks[1]
             gy, gl = np.where(in_tail, 0.0, gy_in), np.where(in_tail, 0.0, gl_in)
-        s, u, num, den, q = _rational(kn, k, xi)
-        mm_k = kn.mm[k]
+        dl, mu, u, den, q, dq = _slope_units(kn, k, xi)
+        xi_xi = xi * xi
+        num = xi_xi + dl * u
         inv_den = 1.0 / den
-        a = gy * kn.h[k] * inv_den * inv_den        # g_y h / den^2
+        a = gy * kn.h[k] * inv_den * inv_den        # g_y h / D^2
         gl_q = gl / q
-        gl_d = gl * inv_den
-        v = 1.0 - 2.0 * u
-        # d/dxi: dy = h s q / den^2, dq = 2 (mm xi + s - d_lo), dden = mm (1 - 2 xi)
-        g_xi = a * s * q + 2.0 * (gl_q * (mm_k * xi + s_minus_dlo[k])
-                                  - gl_d * mm_k * (1.0 - 2.0 * xi))
-        # d/ds: dnum = xi^2, dden = 1 - 2u, dq = 2u, and 2 log s
-        g_s = a * (xi * xi * den - num * v) + 2.0 * (gl / s + u * gl_q - v * gl_d)
-        # d/d(d_lo), d/d(d_hi): dnum = (u, 0), dden = (u, u), dq = ((1 - xi)^2, xi^2)
-        two_u_gl_d = 2.0 * u * gl_d
+        two_gl_d = 2.0 * gl * inv_den
+        # d/dxi: dN/D = Q/D^2, dQ, dD = mu (1 - 2 xi)
+        g_xi = a * q + gl_q * dq - two_gl_d * mu * (1.0 - 2.0 * xi)
+        # d/d(delta), d/d(eps): dN = (u, 0), dD = (u, u), dQ = ((1 - xi)^2, xi^2)
         au = a * u
-        g_dlo = au * (den - num) + (1.0 - xi) ** 2 * gl_q - two_u_gl_d
-        g_dhi = xi * xi * gl_q - two_u_gl_d - au * num
-        for row, wt in zip(sums, (g_xi, g_xi * xi, g_s, g_dlo, g_dhi, gy * num * inv_den, gy)):
+        two_u_gl_d = two_gl_d * u
+        g_dl = au * (den - num) + (1.0 - xi) ** 2 * gl_q - two_u_gl_d
+        g_eps = xi_xi * gl_q - two_u_gl_d - au * num
+        for row, wt in zip(sums, (g_xi, g_xi * xi, g_dl, g_eps, gy * num * inv_den, gy, gl)):
             row += np.bincount(k, weights=wt, minlength=m)
         g_x = g_xi * inv_w[k]
         for t, (_, d) in zip(masks, tails):
@@ -374,19 +395,23 @@ def vjp(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, g_y: np.ndarray, g_
         return (g_x,)
 
     g_x, = _by_blocks(block, res.k, res.xi, g_y, g_ld, *(t for t, _ in tails), out=out)
-    sum_xi, sum_xi_xi, sum_s, sum_dlo, sum_dhi, g_h, g_yknot = sums
+    sum_xi, sum_xi_xi, sum_dl, sum_eps, g_h, g_yknot, sum_ld = sums
+
+    # delta = d_lo / s and eps = d_hi / s; at fixed delta and eps only log s moves with s
+    inv_s = 1.0 / kn.s
+    g_d = np.zeros(spline.n_knots)
+    g_d[:-1] = sum_dl * inv_s
+    g_d[1:] += sum_eps * inv_s
+    sum_s = (sum_ld - kn.delta * sum_dl - kn.d[1:] * inv_s * sum_eps) * inv_s
+    if res.lo is not None:
+        g_d[0] += g_d0
+    if res.hi is not None:
+        g_d[-1] += g_d1
 
     # xi = (x - x_k) / w and s = h / w; per-bin constants leave the sums
     g_xknot = -inv_w * sum_xi
     g_w = -inv_w * (sum_xi_xi + kn.s * sum_s)
     g_h += inv_w * sum_s
-    g_d = np.zeros(spline.n_knots)
-    g_d[:-1] = sum_dlo
-    g_d[1:] += sum_dhi
-    if res.lo is not None:
-        g_d[0] += g_d0
-    if res.hi is not None:
-        g_d[-1] += g_d1
 
     # knot positions are prefix sums of widths/heights
     g_w[:-1] += reversed_cumsum(g_xknot)[1:]
@@ -415,8 +440,9 @@ def inv_jac_t(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, w: np.ndarray
     tails = [(t, d) for t, d in ((res.lo, kn.d[0]), (res.hi, kn.d[-1])) if t is not None]
 
     def block(k_small, xi, w, *masks):
-        s, _, _, den, q = _rational(kn, k_small.astype(np.intp), xi)
-        u = w * den * den / (s * s * q)
+        k = k_small.astype(np.intp)
+        _, _, _, den, q, _ = _slope_units(kn, k, xi)
+        u = w * den * den / (kn.s[k] * q)
         for t, (_, d) in zip(masks, tails):
             u[t] = w[t] / d
         return (u,)

@@ -116,13 +116,25 @@ def pairwise_diff(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _diff_t(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Transpose of the row-wise adjacent difference: ``pairwise_diff`` of the
-    reversed flat array, as ``reversed_cumsum`` is ``np.cumsum`` of reversed
-    rows.  Written into ``out`` when it is given, which may be ``x``.
+    """Transpose of the row-wise adjacent difference: ``out[i] = x[i] - x[i + 1]``
+    over each row, the last element of a row copied.
+
+    Written into ``out`` when it is given, which may be ``x``.  Walked left
+    to right in blocks through a small buffer, a block reads only elements
+    right of those already written, as ``_diff_flat`` does from the other end.
     """
     x = np.asarray(x, dtype=np.float64)
     out = np.empty(x.shape) if out is None else out
-    _diff_flat(x.reshape(-1)[::-1], sp.c_view(out, -1)[::-1], x.shape[-1])
+    src, dst, n = x.reshape(-1), sp.c_view(out, -1), x.shape[-1]
+    buf = np.empty(min(sp._BLOCK, src.size))
+    for start in range(0, src.size - 1, sp._BLOCK):
+        stop = min(start + sp._BLOCK, src.size - 1)
+        part = buf[:stop - start]
+        np.subtract(src[start:stop], src[start + 1:stop + 1], out=part)
+        last = start + (n - 1 - start) % n     # the block's first row end
+        part[last - start::n] = src[last:stop:n]
+        dst[start:stop] = part
+    dst[src.size - 1:] = src[src.size - 1:]
     return out
 
 
@@ -273,7 +285,9 @@ class Scale:
 
     def vjp(self, x, p, g_y, g_ld, res=None, out=None):
         s = np.exp(p[0])
-        g_p = np.array([s * float((g_y * x).sum()) + float(g_ld.sum())])   # before out is written
+        axes = list(range(np.ndim(x)))
+        # sum of g_y * x with no product array; read before out is written
+        g_p = np.array([s * float(np.einsum(g_y, axes, x, axes, [])) + float(g_ld.sum())])
         return np.multiply(s, g_y, out=out), g_p
 
     def inv_jac_t(self, x, p, w, res=None):

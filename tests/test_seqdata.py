@@ -112,6 +112,27 @@ def test_padded_batch_invariants():
         sd.PaddedBatch(np.array([[1.0, 2.0]]), np.array([[0.0, 1.0]]), 5.0)
 
 
+def test_padded_batch_refuses_events_at_zero_and_ties():
+    """A real event (mask > 0, soft masks included) at t <= 0, or two real
+    events at one time, would make a zero gap that the chain pins like
+    padding; it is refused as ``EventSequence`` refuses it, naming the row
+    and the index.  Padding may repeat the last event time."""
+    times = np.array([[1.0, 2.0, 5.0], [0.5, 3.0, 5.0]])
+    with pytest.raises(ValueError, match=r"row 1: event time at index 0 must be > 0"):
+        sd.PaddedBatch(np.where([[False] * 3, [True, False, False]], 0.0, times),
+                       np.ones((2, 3)), 5.0)
+    with pytest.raises(ValueError, match=r"row 0: event time at index 0 must be > 0"):
+        sd.PaddedBatch(np.array([[-1.0, 2.0]]), np.array([[0.3, 0.0]]), 5.0)
+    with pytest.raises(ValueError, match=r"row 1: .*strictly increasing: violation at index 2"):
+        sd.PaddedBatch(np.array([[1.0, 2.0, 5.0], [0.5, 3.0, 3.0]]),
+                       np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.2]]), 5.0)
+    with pytest.raises(ValueError, match=r"row 0: .*strictly increasing: violation at index 1"):
+        sd.PaddedBatch(np.array([[2.0, 2.0]]), np.array([[1.0, 1.0]]), 5.0)
+    for t, m in ((times, np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]])),
+                 (np.array([[2.0, 2.0, 2.0]]), np.array([[1.0, 0.0, 0.0]]))):
+        assert sd.PaddedBatch(t, m, 5.0).batch_size == t.shape[0]
+
+
 def test_simulate_hpp_count_statistics():
     data = sd.simulate_hpp(3.0, 10.0, 10_000, seed=7)
     counts = np.array([len(s) for s in data])

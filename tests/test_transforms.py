@@ -483,16 +483,19 @@ def test_in_place_differences_make_no_batch_temporary(rng):
     small buffer: run in place at the bench shape, as the cached pass and a
     consuming sweep run them, ``Diff.forward``, ``Cumsum.inverse``,
     ``Diff.vjp`` and ``Cumsum.vjp`` peak at a tenth of a batch-sized array
-    and give the bits of a fresh output."""
+    and give the bits of a fresh output.  So does ``Scale.vjp``, which sums
+    g_y * x with no product array."""
     x = np.cumsum(rng.uniform(0.0, 1.0, (100, 1501)), axis=1)
     diff = np.concatenate([x[:, :1], np.diff(x, axis=1)], axis=1)
     diff_t = np.concatenate([x[:, :-1] - x[:, 1:], x[:, -1:]], axis=1)
     zeros = np.zeros_like(x)
+    p = np.array([0.3])
     runs = ((tr.Diff().forward, lambda a: tr.Diff().forward(a, None, out=a), diff),
             (tr.Cumsum().inverse, lambda a: tr.Cumsum().inverse(a, None, out=a), diff),
             (tr.Diff().vjp, lambda a: tr.Diff().vjp(a, None, a, zeros, out=a), diff_t),
             (tr.Cumsum().vjp, lambda a: tr.Cumsum().vjp(a, None, a, zeros, out=a),
-             np.cumsum(x[:, ::-1], axis=1)[:, ::-1]))
+             np.cumsum(x[:, ::-1], axis=1)[:, ::-1]),
+            (tr.Scale.vjp, lambda a: tr.Scale("s").vjp(diff, p, a, zeros, out=a), np.exp(0.3) * x))
     for method, run, expected in runs:
         own = x.copy()
         run(own)
@@ -505,6 +508,26 @@ def test_in_place_differences_make_no_batch_temporary(rng):
         finally:
             tracemalloc.stop()
         assert peak <= 0.1 * x.nbytes, (method.__qualname__, peak / x.nbytes)
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (1, 1), (3, 1), (2, 3, 4), (5, 8191), (2, 8193),
+                                   (7, 20000), (0,), (4, 0), (0, 3)])
+def test_diff_transpose_matches_reversed_pairwise_diff_bitwise(shape, rng):
+    """``_diff_t`` (the ``Diff`` VJP, the ``Cumsum`` ``inv_jac_t``) walks
+    left to right and gives the bits of its definition as ``pairwise_diff``
+    of the reversed array: into a fresh array and over its own input, on
+    rows shorter and longer than a block, on empty and on strided inputs."""
+    flip = (slice(None, None, -1),) * len(shape)
+    x = rng.normal(0, 1, shape)
+    expected = tr.pairwise_diff(x[flip])[flip]
+    assert np.array_equal(tr._diff_t(x), expected)
+    own = x.copy()
+    assert tr._diff_t(own, out=own) is own and np.array_equal(own, expected)
+    assert np.array_equal(tr.Diff().vjp(None, None, x, None)[0], expected)
+    strided = rng.normal(0, 1, shape[:-1] + (2 * shape[-1],))[..., ::2]
+    assert np.array_equal(tr._diff_t(strided), tr.pairwise_diff(strided[flip])[flip])
+    assert np.array_equal(tr.Cumsum().inv_jac_t(None, None, strided),
+                          tr.pairwise_diff(strided[flip])[flip])
 
 
 def test_jacobian_determinant_small_n(rng):
