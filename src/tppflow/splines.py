@@ -90,6 +90,7 @@ class Residuals(NamedTuple):
     derivatives are recomputed from them in units of the bin's slope
     (``_slope_units``).  The tail inputs are kept too, so that neither
     reads ``x``: a pass may write over the input once the record is built.
+    The knots ride along, so neither builds them again.
     """
 
     k: np.ndarray              # bin of each (clipped) input; uint8 up to 256 bins
@@ -98,6 +99,7 @@ class Residuals(NamedTuple):
     hi: np.ndarray | None      # mask of the inputs above 1, None when there are none
     x_lo: np.ndarray | None    # x[lo], in order
     x_hi: np.ndarray | None    # x[hi], in order
+    kn: Knots                  # the knots of theta
 
 
 def sigmoid(x):
@@ -294,7 +296,7 @@ def forward(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, keep: bool = Tr
     k, xi, lo, hi = rec
     return y, ld, Residuals(k, xi, lo if x_lo else None, hi if x_hi else None,
                             np.concatenate(x_lo) if x_lo else None,
-                            np.concatenate(x_hi) if x_hi else None)
+                            np.concatenate(x_hi) if x_hi else None, kn)
 
 
 def inverse(spline: RqsSpline, theta: np.ndarray, y: np.ndarray, knots: Knots | None = None,
@@ -346,18 +348,17 @@ def vjp(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, g_y: np.ndarray, g_
     and ``out`` may be ``x``, ``g_y`` or both: ``g_y`` is read block by
     block before that block of ``g_x`` is written.
     """
-    kn = make_knots(spline, theta)
     if res is None:
         res = forward(spline, theta, x)[2]
+    kn = res.kn
     g_y = np.asarray(g_y, dtype=np.float64)
     g_ld = np.asarray(g_ld, dtype=np.float64)
     m = spline.n_bins
     d0, d1 = kn.d[0], kn.d[-1]
     # tails: y = d0*x below, 1 + d1*(x-1) above; summed before g_x is written
-    if res.lo is not None:
-        g_d0 = float(g_y[res.lo] @ res.x_lo + g_ld[res.lo].sum() / d0)
-    if res.hi is not None:
-        g_d1 = float(g_y[res.hi] @ (res.x_hi - 1.0) + g_ld[res.hi].sum() / d1)
+    g_d0 = 0.0 if res.lo is None else float(g_y[res.lo] @ res.x_lo + g_ld[res.lo].sum() / d0)
+    g_d1 = 0.0 if res.hi is None else float(g_y[res.hi] @ (res.x_hi - 1.0)
+                                            + g_ld[res.hi].sum() / d1)
     tails = [(t, d) for t, d in ((res.lo, d0), (res.hi, d1)) if t is not None]
 
     # Inside a bin: y = y_k + h N/D and logderiv = log s + log Q - 2 log D;
@@ -395,18 +396,24 @@ def vjp(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, g_y: np.ndarray, g_
         return (g_x,)
 
     g_x, = _by_blocks(block, res.k, res.xi, g_y, g_ld, *(t for t, _ in tails), out=out)
+    return g_x, _theta_cotangent(kn, sums, g_d0, g_d1)
+
+
+def _theta_cotangent(kn: Knots, sums, g_d0, g_d1):
+    """g_theta from the tail cotangents of d_0 and d_K and ``sums``, which
+    holds per bin (and is written over) the sums of g_xi, g_xi xi, the
+    partials in delta and eps, g_y N / D, g_y and g_ld."""
     sum_xi, sum_xi_xi, sum_dl, sum_eps, g_h, g_yknot, sum_ld = sums
+    inv_w = 1.0 / kn.w
 
     # delta = d_lo / s and eps = d_hi / s; at fixed delta and eps only log s moves with s
     inv_s = 1.0 / kn.s
-    g_d = np.zeros(spline.n_knots)
+    g_d = np.zeros(kn.d.size)
     g_d[:-1] = sum_dl * inv_s
     g_d[1:] += sum_eps * inv_s
     sum_s = (sum_ld - kn.delta * sum_dl - kn.d[1:] * inv_s * sum_eps) * inv_s
-    if res.lo is not None:
-        g_d[0] += g_d0
-    if res.hi is not None:
-        g_d[-1] += g_d1
+    g_d[0] += g_d0
+    g_d[-1] += g_d1
 
     # xi = (x - x_k) / w and s = h / w; per-bin constants leave the sums
     g_xknot = -inv_w * sum_xi
@@ -417,35 +424,49 @@ def vjp(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, g_y: np.ndarray, g_
     g_w[:-1] += reversed_cumsum(g_xknot)[1:]
     g_h[:-1] += reversed_cumsum(g_yknot)[1:]
 
-    scale = 1.0 - m * MIN_BIN
+    scale = 1.0 - kn.w.size * MIN_BIN
     g_sm_w = scale * g_w
     g_sm_h = scale * g_h
     g_tw = kn.sm_w * (g_sm_w - float(kn.sm_w @ g_sm_w))
     g_th = kn.sm_h * (g_sm_h - float(kn.sm_h @ g_sm_h))
     g_td = g_d * kn.sig_d
 
-    return g_x, np.concatenate([g_tw, g_th, g_td])
+    return np.concatenate([g_tw, g_th, g_td])
 
 
 def inv_jac_t(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, w: np.ndarray,
-              res: Residuals | None = None):
-    """Divide ``w`` by the spline's derivative at ``x`` (its Jacobian is diagonal).
-
-    ``res`` is the record ``forward`` returned for this ``x``; without it
-    the forward pass is run here.  With it, ``x`` is not read.
+              res: Residuals | None = None, out: np.ndarray | None = None):
+    """u = w / F'(x) (the Jacobian is diagonal) and the ``g_theta`` of ``vjp``
+    at g_y = u, g_ld = 0, where its partials collapse: g_xi = w w_k and
+    a = g_y h / D^2 = w w_k / Q.  u is written into ``out`` when it is given,
+    which may be ``w``.  ``res`` is the record ``forward`` returned for this
+    ``x``; without it the forward pass is run here.  With it, ``x`` is not read.
     """
-    kn = make_knots(spline, theta)
     if res is None:
         res = forward(spline, theta, x)[2]
+    kn = res.kn
     tails = [(t, d) for t, d in ((res.lo, kn.d[0]), (res.hi, kn.d[-1])) if t is not None]
+    sums = np.zeros((7, spline.n_bins))
 
-    def block(k_small, xi, w, *masks):
+    def block(k_small, xi, w_in, *masks):
         k = k_small.astype(np.intp)
-        _, _, _, den, q, _ = _slope_units(kn, k, xi)
+        # the bins' partials see no cotangent from tail positions
+        w = np.where(np.logical_or.reduce(masks), 0.0, w_in) if masks else w_in
+        dl, _, uu, den, q, _ = _slope_units(kn, k, xi)
         u = w * den * den / (kn.s[k] * q)
+        g_xi = w * kn.w[k]
+        a_uu = g_xi / q * uu
+        num = xi * xi + dl * uu
+        for row, wt in zip(sums, (g_xi, g_xi * xi, a_uu * (den - num), -(a_uu * num),
+                                  u * num / den, u)):
+            row += np.bincount(k, weights=wt, minlength=row.size)
         for t, (_, d) in zip(masks, tails):
-            u[t] = w[t] / d
+            u[t] = w_in[t] / d
         return (u,)
 
     w = np.asarray(w, dtype=np.float64)
-    return _by_blocks(block, res.k, res.xi, w, *(t for t, _ in tails))[0]
+    u, = _by_blocks(block, res.k, res.xi, w, *(t for t, _ in tails), out=out)
+    # tails: y = d0*x below, 1 + d1*(x-1) above
+    g_d0 = 0.0 if res.lo is None else float(u[res.lo] @ res.x_lo)
+    g_d1 = 0.0 if res.hi is None else float(u[res.hi] @ (res.x_hi - 1.0))
+    return u, _theta_cotangent(kn, sums, g_d0, g_d1)

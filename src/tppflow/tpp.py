@@ -146,13 +146,13 @@ def _estimated_count(model: TppModel) -> int:
 
 
 def _first_width(model: TppModel) -> int:
-    """Columns of the first draw: c + 6 sqrt(c) for the estimated count c.
+    """Columns of the first draw: c + 6 sqrt(c) for the estimated count c, plus one past T.
 
     A row's count is roughly Poisson(c), so a row outlasts the first draw
     with probability ~1e-9; such a row costs one more round, not a result.
     """
     c = _estimated_count(model)
-    return min(MAX_EXTENDED, max(64, int(np.ceil(c + 6.0 * np.sqrt(c)))))
+    return min(MAX_EXTENDED, int(np.ceil(c + 6.0 * np.sqrt(c))) + 1)
 
 
 def inverse_map(model: TppModel, z) -> np.ndarray:
@@ -294,9 +294,10 @@ def path_gradients(paths: SamplePaths, relaxed: bool, g_mask=None, g_tclip=None)
     and the reparametrization through the inverse map are handled here.
 
     This is the last reader of both caches and consumes them: ``cache_clip``
-    at its one reverse sweep, ``cache_ext`` at its last (see
-    :func:`tppflow.transforms.chain_vjp_cached`).  Read ``path_log_density``
-    first; a second call on the same ``paths`` raises ``ValueError``.
+    at its one reverse sweep, ``cache_ext`` at the second of its two, the
+    forward-order walk of :func:`tppflow.transforms.inverse_jac_t_apply`.
+    Read ``path_log_density`` first; a second call on the same ``paths``
+    raises ``ValueError``.
     """
     if g_mask is not None and not relaxed:
         raise ValueError("g_mask is a soft-mask cotangent and needs relaxed=True")
@@ -318,10 +319,7 @@ def path_gradients(paths: SamplePaths, relaxed: bool, g_mask=None, g_tclip=None)
         g_t += g_m * inv_b * (-s * (1.0 - s) / paths.gamma)
     # clipping passes gradients only where the sample stayed inside [0, T]
     g_t += g_clip * paths.hard_mask
-    if np.any(g_t):
-        u = tr.inverse_jac_t_apply(paths.cache_ext, g_t)
-        gp, _ = tr.chain_vjp_cached(paths.cache_ext, u, np.zeros(shape), consume=True)
-        grad -= gp
+    grad += tr.inverse_jac_t_apply(paths.cache_ext, g_t)
     return grad
 
 

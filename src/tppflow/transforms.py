@@ -9,20 +9,22 @@ output, its log-diagonal and a record its ``vjp`` and ``inv_jac_t`` can reuse
 (a spline's bins, positions and tail inputs, the sigmoid bridge's output;
 ``None`` for every other layer, and for any layer run without ``keep``, when
 a spline writes out only its output and log-diagonal).  A constant
-log-diagonal is a read-only broadcast view.  A layer's ``reads_input`` says
-whether its ``vjp`` and ``inv_jac_t`` read ``x`` beside the record.
+log-diagonal is a read-only broadcast view.  ``inv_jac_t(x, p, w, res,
+out)`` returns u = J^-T w and the parameter cotangent of ``vjp`` at g_y = u,
+g_ld = 0 (``None`` for a layer without parameters).  A layer's
+``reads_input`` says whether its ``vjp`` and ``inv_jac_t`` read ``x``.
 
-``forward``, ``inverse`` and ``vjp`` take ``out`` in the sense of NumPy's
-``out=``: the output is written there when it is given, and ``out`` may be
-the input itself.  Every pass owns one array and lets each layer write over
-it: ``compose_forward`` and ``compose_inverse`` a copy of the caller's rows,
-``chain_vjp_cached`` its cotangent.  ``compose_forward_cached`` keeps what
-the reverse sweep reads: a layer that reads its input writes a fresh output,
-and the others write over their input, which the cache then shares with the
-next layer.  The last reader of a cache consumes it:
-``chain_vjp_cached(..., consume=True)`` starts its cotangent in ``cache.z``,
-drops each layer's input and record once past it, and refuses a second pass
-with ``ValueError``.
+``forward``, ``inverse``, ``vjp`` and ``inv_jac_t`` take ``out`` in the
+sense of NumPy's ``out=``: the output is written there when it is given,
+and ``out`` may be the input itself.  Every pass owns one array and lets
+each layer write over it: ``compose_forward`` and ``compose_inverse`` a copy
+of the caller's rows, the sweeps their cotangent.  ``compose_forward_cached``
+keeps what the sweeps read: a layer that reads its input writes a fresh
+output, and the others write over their input, which the cache then shares
+with the next layer.  The last reader of a cache consumes it
+(``inverse_jac_t_apply``, or ``chain_vjp_cached(..., consume=True)``, which
+starts its cotangent in ``cache.z``): each layer's input and record are
+dropped once past it, and a later pass raises ``ValueError``.
 
 Padding semantics: rows are padded by repeating the horizon, which makes the
 padded inter-event gaps exactly zero.  The layers from the ``Diff`` through
@@ -168,8 +170,8 @@ class Spline:
     def vjp(self, x, p, g_y, g_ld, res=None, out=None):
         return sp.vjp(self.rqs, p, x, g_y, g_ld, res=res, out=out)
 
-    def inv_jac_t(self, x, p, w, res=None):
-        return sp.inv_jac_t(self.rqs, p, x, w, res=res)
+    def inv_jac_t(self, x, p, w, res=None, out=None):
+        return sp.inv_jac_t(self.rqs, p, x, w, res=res, out=out)
 
 
 @dataclass(frozen=True)
@@ -245,6 +247,10 @@ class BlockDiag:
         b = self.matrix(p)
         return self._by_row_blocks(lambda c: solve_triangular(b, c.T, lower=True).T, y, out=out)
 
+    def _param_cotangent(self, g_b, b):
+        """The parameters' cotangent from that of the block's entries."""
+        return np.concatenate([np.diag(g_b) * np.diag(b), g_b[np.tril_indices(self.size, -1)]])
+
     def vjp(self, x, p, g_y, g_ld, res=None, out=None):
         b = self.matrix(p)
         h = self.size
@@ -255,17 +261,22 @@ class BlockDiag:
             return gc @ b
 
         g_x = self._by_row_blocks(block, g_y, x, out=out)
-        g_p = np.zeros_like(p)
-        g_p[:h] = np.diag(g_b) * np.diag(b)
-        g_p[h:] = g_b[np.tril_indices(h, -1)]
+        g_p = self._param_cotangent(g_b, b)
         n = x.shape[-1]
         pos = (np.arange(n) - self.offset) % h
         g_p[:h] += np.bincount(pos, weights=g_ld.reshape(-1, n).sum(axis=0), minlength=h)
         return g_x, g_p
 
-    def inv_jac_t(self, x, p, w, res=None):
+    def inv_jac_t(self, x, p, w, res=None, out=None):
         b = self.matrix(p)
-        return self._by_row_blocks(lambda c: solve_triangular(b.T, c.T, lower=False).T, w)
+        g_b = np.zeros((self.size, self.size))
+
+        def block(wc, xc):
+            uc = solve_triangular(b.T, wc.T, lower=False).T
+            g_b[:] += uc.T @ xc      # the VJP's product at output cotangent u
+            return uc
+
+        return self._by_row_blocks(block, w, x, out=out), self._param_cotangent(g_b, b)
 
 
 @dataclass(frozen=True)
@@ -290,8 +301,10 @@ class Scale:
         g_p = np.array([s * float(np.einsum(g_y, axes, x, axes, [])) + float(g_ld.sum())])
         return np.multiply(s, g_y, out=out), g_p
 
-    def inv_jac_t(self, x, p, w, res=None):
-        return w * np.exp(-p[0])
+    def inv_jac_t(self, x, p, w, res=None, out=None):
+        u = np.multiply(w, np.exp(-p[0]), out=out)
+        axes = list(range(np.ndim(x)))
+        return u, np.array([np.exp(p[0]) * float(np.einsum(u, axes, x, axes, []))])
 
 
 @dataclass(frozen=True)
@@ -318,8 +331,8 @@ class FixedScale:
     def vjp(self, x, p, g_y, g_ld, res=None, out=None):
         return np.multiply(self.value, g_y, out=out), None
 
-    def inv_jac_t(self, x, p, w, res=None):
-        return w / self.value
+    def inv_jac_t(self, x, p, w, res=None, out=None):
+        return np.divide(w, self.value, out=out), None
 
 
 # elementwise pieces of the bridges; the *_forward ones are block functions of
@@ -429,17 +442,17 @@ class Bridge:
             block = _logit_vjp
         return _by_blocks(block, x, g_y, g_ld, out=out)[0], None
 
-    def inv_jac_t(self, x, p, w, res=None):
+    def inv_jac_t(self, x, p, w, res=None, out=None):
         k = self.kind
         if k == "psi":
-            return w * np.exp(x)
+            return np.multiply(w, np.exp(x), out=out), None
         if k == "psi_inv":
-            return w * (1.0 - _clamped(x))
+            return np.multiply(w, 1.0 - _clamped(x), out=out), None
         if k == "sigmoid":
             s = sigmoid(x) if res is None else res
-            return w / (s * (1.0 - s))
+            return np.divide(w, s * (1.0 - s), out=out), None
         xc = _clamped(x)
-        return w * xc * (1.0 - xc)
+        return np.multiply(w * xc, 1.0 - xc, out=out), None
 
 
 @dataclass(frozen=True)
@@ -459,8 +472,8 @@ class Cumsum:
     def vjp(self, x, p, g_y, g_ld, res=None, out=None):
         return reversed_cumsum(g_y, out=out), None
 
-    def inv_jac_t(self, x, p, w, res=None):
-        return _diff_t(w)
+    def inv_jac_t(self, x, p, w, res=None, out=None):
+        return _diff_t(w, out=out), None
 
 
 @dataclass(frozen=True)
@@ -480,8 +493,8 @@ class Diff:
     def vjp(self, x, p, g_y, g_ld, res=None, out=None):
         return _diff_t(g_y, out=out), None
 
-    def inv_jac_t(self, x, p, w, res=None):
-        return reversed_cumsum(w)
+    def inv_jac_t(self, x, p, w, res=None, out=None):
+        return reversed_cumsum(w, out=out), None
 
 
 # ---------------------------------------------------------------------------
@@ -597,8 +610,8 @@ class ChainCache:
 
 def _check_live(cache: ChainCache):
     if cache.z is None:
-        raise ValueError("the cache was consumed by chain_vjp_cached(..., consume=True); "
-                         "run compose_forward_cached again")
+        raise ValueError("the cache was consumed by chain_vjp_cached(..., consume=True) or "
+                         "inverse_jac_t_apply; run compose_forward_cached again")
 
 
 def _validate_rows(x, what):
@@ -742,20 +755,28 @@ def chain_vjp_cached(cache: ChainCache, cot_z, cot_logdiag, consume: bool = Fals
 
 
 def inverse_jac_t_apply(cache: ChainCache, w):
-    """Apply the inverse transposed chain Jacobian to a times-cotangent.
+    """Parameter gradient -(dF/dtheta)^T J_F^-T w of a loss L(t) with
+    t = F^{-1}(z), z held fixed, and ``w`` = dL/dt (implicit-function rule).
 
-    Used for reparametrized sampling gradients: for a loss L(t) with
-    t = F^{-1}(z), ``grad_params`` is minus the parameter gradient of
-    ``chain_vjp_cached`` at ``cot_z = u``, ``cot_logdiag = 0``, where
-    ``u = J_F^{-T} dL/dt``.  Only valid for caches without pinned positions.
+    A reverse sweep at cot_z = J_F^-T w would hand layer i the cotangent
+    u_i = J_i^-T ... J_1^-T w, so this one forward-order walk lets each
+    layer's ``inv_jac_t`` map u_{i-1} to u_i over one array and return its
+    parameter cotangent at u_i.  It consumes the cache, which must be pin-free.
     """
     _check_live(cache)
     if any(p is not None for p in cache.pins):
         raise ValueError("inverse_jac_t_apply requires a pin-free forward cache")
-    u = np.array(w, dtype=np.float64, copy=True)
-    for layer, x, res in zip(cache.spec.layers, cache.inputs, cache.residuals):
-        u = layer.inv_jac_t(x, _params_of(layer, cache.store), u, res)
-    return u
+    spec, store = cache.spec, cache.store
+    u = np.array(w, dtype=np.float64, order="C")
+    cache.z = None
+    grad = np.zeros_like(store.values)
+    for i, layer in enumerate(spec.layers):
+        u, g_p = layer.inv_jac_t(cache.inputs[i], _params_of(layer, store), u,
+                                 cache.residuals[i], out=u)
+        cache.inputs[i] = cache.residuals[i] = None
+        if g_p is not None:
+            grad[store.slices[layer.name]] -= g_p
+    return grad
 
 
 # ---------------------------------------------------------------------------

@@ -63,3 +63,36 @@ def test_random_models_are_bitwise_padding_invariant(seed):
         assert np.array_equal(grad_c, grad) and np.array_equal(g_t_c, g_t), chain
         if pin is not None:
             assert np.all(g_t[pin] == 0.0), chain
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_merged_sweep_matches_dense_implicit_gradient(seed):
+    """On random models of every chain, ``inverse_jac_t_apply`` gives the
+    dense -(dF/dtheta)^T J^-T w on tiny pin-free rows that the model draws
+    itself (unit-rate z through the inverse map, as the sampler does).  Both
+    operators are read off ``chain_vjp_cached`` one output element at a
+    time: a unit cotangent on z[r, j] gives row (r, j) of dF/dtheta and of
+    the row-diagonal time Jacobian J.  (On rows far off the model's scale,
+    psi saturates and the dense reference itself loses digits: ROADMAP item 3.)"""
+    rng = np.random.default_rng([seed, 1])
+    for chain in RANDOM_CHAINS:
+        model = random_model(rng, chain)
+        z = np.cumsum(rng.exponential(1.0, (2, 6)), axis=1)
+        times = tr.compose_inverse(z, model.spec, model.params)
+        n_rows, n = times.shape
+        cache = tr.compose_forward_cached(times, model.spec, model.params)
+        zeros = np.zeros_like(times)
+        d_theta = np.zeros((n_rows, n, model.params.size))
+        jac = np.zeros((n_rows, n, n))
+        for r in range(n_rows):
+            for j in range(n):
+                unit = zeros.copy()
+                unit[r, j] = 1.0
+                d_theta[r, j], g_t = tr.chain_vjp_cached(cache, unit, zeros)
+                jac[r, j] = g_t[r]
+        w = rng.normal(0.0, 1.0, times.shape)
+        u = np.stack([np.linalg.solve(jac[r].T, w[r]) for r in range(n_rows)])
+        expected = -np.einsum("rj,rjp->p", u, d_theta)
+        got = tr.inverse_jac_t_apply(cache, w)
+        assert np.abs(got - expected).max() <= 1e-11 * np.abs(expected).max(), chain
+        assert cache.z is None, chain

@@ -289,8 +289,9 @@ def test_inv_jac_t_divides_by_the_derivative(spline10, theta10, rng):
     x = np.concatenate([rng.uniform(0.0, 1.0, (3, 50)), [[-0.5] * 50, [1.5] * 50]])
     w = rng.normal(0, 1, x.shape)
     _, ld, res = sp.forward(spline10, theta10, x)
-    u = sp.inv_jac_t(spline10, theta10, x, w, res=res)
-    assert np.array_equal(u, sp.inv_jac_t(spline10, theta10, x, w))
+    u, g_theta = sp.inv_jac_t(spline10, theta10, x, w, res=res)
+    u_bare, g_theta_bare = sp.inv_jac_t(spline10, theta10, x, w)
+    assert np.array_equal(u, u_bare) and np.array_equal(g_theta, g_theta_bare)
     assert np.abs(u - w * np.exp(-ld)).max() < 1e-12 * np.abs(u).max()
 
 
@@ -350,9 +351,10 @@ def test_vjp_over_its_own_input_gives_the_same_bits(spline10, theta10, rng):
     assert aliased[0] is own
     for g_x, g_th in (fresh, aliased):
         assert np.array_equal(g_x, gx) and np.array_equal(g_th, gth)
-    u = sp.inv_jac_t(spline10, theta10, x, w)
+    u, g_theta = sp.inv_jac_t(spline10, theta10, x, w)
     own[...] = w
-    assert np.array_equal(sp.inv_jac_t(spline10, theta10, own, own, res=res), u)
+    u_own, g_theta_own = sp.inv_jac_t(spline10, theta10, own, own, res=res, out=own)
+    assert u_own is own and np.array_equal(u_own, u) and np.array_equal(g_theta_own, g_theta)
 
 
 def test_spline_ops_are_total(spline10, theta10):

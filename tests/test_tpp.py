@@ -119,23 +119,24 @@ def test_sample_validation():
 def test_count_estimate_sizes_one_draw(monkeypatch):
     """The unit-gap count lands near the sampled count, so the first draw
     already reaches the horizon on every row: one batch inversion, no
-    doubling rounds.  (The forward map of the empty history saturated at
-    -log(CLAMP) ~ 27.6 here.)"""
-    model = make_model("tritpp", horizon=100.0, noise=0.05, rate_init=14.0)
-    batch_size = 50
-    widths = []
+    doubling rounds.  That holds for ~1400 events per row (where the forward
+    map of the empty history saturated at -log(CLAMP) ~ 27.6) and for ~14
+    on 512 rows, where the first draw is sized by the count alone."""
     inverse = tr.compose_inverse
+    for horizon, rate, batch_size in ((100.0, 14.0, 50), (50.0, 0.28, 512)):
+        model = make_model("tritpp", horizon=horizon, noise=0.05, rate_init=rate)
+        widths = []
 
-    def counted(z, *args, **kwargs):
-        if np.shape(z)[0] == batch_size:
-            widths.append(np.shape(z)[1])
-        return inverse(z, *args, **kwargs)
+        def counted(z, *args, **kwargs):
+            if np.shape(z)[0] == batch_size:
+                widths.append(np.shape(z)[1])
+            return inverse(z, *args, **kwargs)
 
-    monkeypatch.setattr(tr, "compose_inverse", counted)
-    t_ext, _ = tpp.draw_extended(model, batch_size, seed=3)
-    mean_count = (t_ext < model.horizon).sum(axis=1).mean()
-    assert abs(tpp._estimated_count(model) - mean_count) <= 0.1 * mean_count
-    assert len(widths) == 1, widths
+        monkeypatch.setattr(tr, "compose_inverse", counted)
+        t_ext, _ = tpp.draw_extended(model, batch_size, seed=3)
+        mean_count = (t_ext < model.horizon).sum(axis=1).mean()
+        assert abs(tpp._estimated_count(model) - mean_count) <= 0.1 * mean_count
+        assert widths == [tpp._first_width(model)], widths
 
 
 @pytest.mark.parametrize("kind,rate", [("hpp", 3.0), ("ipp", 0.5), ("rp", 20.0),

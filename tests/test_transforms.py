@@ -61,7 +61,9 @@ def test_cumsum_diff_transposed_operators_match_dense(rng):
         g_x, g_p = layer.vjp(x, None, g, np.zeros_like(g))
         assert g_p is None
         assert np.abs(g_x - g @ jac).max() < 1e-12
-        assert np.abs(layer.inv_jac_t(x, None, g) - g @ np.linalg.inv(jac)).max() < 1e-12
+        u, g_p = layer.inv_jac_t(x, None, g)
+        assert g_p is None
+        assert np.abs(u - g @ np.linalg.inv(jac)).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +205,7 @@ def test_block_row_blocks_match_dense(rng, monkeypatch, offset):
     assert np.abs(y - x @ dense.T).max() < 1e-12
     assert np.abs(ld - np.log(np.diag(dense))).max() < 1e-12
     assert np.abs(blk.inverse(y, theta) - np.linalg.solve(dense, y.T).T).max() < 1e-12
-    assert np.abs(blk.inv_jac_t(x, theta, w) - np.linalg.solve(dense.T, w.T).T).max() < 1e-12
+    assert np.abs(blk.inv_jac_t(x, theta, w)[0] - np.linalg.solve(dense.T, w.T).T).max() < 1e-12
     g_x, g_p = blk.vjp(x, theta, g, gl)
     assert np.abs(g_x - g @ dense).max() < 1e-12
     # the dense operator is linear in the block's entries: differentiate it exactly
@@ -241,7 +243,7 @@ def test_block_rows_bitwise_alone_batched_and_padded(rng, monkeypatch, row_block
         with pytest.raises(ValueError, match="C-contiguous"):
             blk.forward(x, theta, out=np.empty(x.shape + (2,))[..., 0])
         g_x, g_p = blk.vjp(x, theta, g, gl)
-        return (y, ld, g_x, blk.inverse(x, theta), blk.inv_jac_t(x, theta, w)), g_p
+        return (y, ld, g_x, blk.inverse(x, theta), blk.inv_jac_t(x, theta, w)[0]), g_p
 
     full, g_p = outputs(x, g, gl, w)
     for r in range(7):
@@ -255,6 +257,40 @@ def test_block_rows_bitwise_alone_batched_and_padded(rng, monkeypatch, row_block
         for a, b in zip(wide, full):
             assert np.array_equal(a[:, :n], b), k
         assert np.abs(g_p_wide - g_p).max() < 1e-12
+
+
+_IJT_LAYERS = {"spline": tr.Spline("g", 10), "block0": tr.BlockDiag("b", 6, 0),
+               "block3": tr.BlockDiag("b", 6, 3), "scale": tr.Scale("rate"),
+               "fixed_scale": tr.FixedScale(0.1), "cumsum": tr.Cumsum(), "diff": tr.Diff(),
+               **{k: tr.Bridge(k) for k in ("psi", "psi_inv", "sigmoid", "logit")}}
+
+
+@pytest.mark.parametrize("name", list(_IJT_LAYERS))
+def test_inv_jac_t_gives_the_vjp_parameter_cotangent(rng, monkeypatch, name):
+    """``inv_jac_t`` returns u = J^-T w and the parameter part of ``vjp`` at
+    g_y = u, g_ld = 0, within 1e-12 relative (``None`` for a layer without
+    parameters): over a spline's bins and both tails, on several evaluation
+    blocks, and over BlockDiag row blocks.  ``vjp`` at u gives w back, and
+    written over w (``out=w``) ``inv_jac_t`` gives the bits of a fresh output."""
+    monkeypatch.setattr(tr, "_ROW_BLOCK", 64)
+    layer = _IJT_LAYERS[name]
+    spline = isinstance(layer, tr.Spline)
+    shape = (3, sp._BLOCK + 5) if spline else (7, 23)
+    x = rng.uniform(-0.2, 1.2, shape) if spline else rng.uniform(0.01, 0.99, shape)
+    w = rng.normal(0, 1, shape)
+    p = rng.normal(0, 0.5, layer.n_params) if layer.n_params else None
+    _, _, res = layer.forward(x, p)
+    u, g_p = layer.inv_jac_t(x, p, w, res)
+    g_x, g_p_vjp = layer.vjp(x, p, u, np.zeros(shape), res)
+    assert np.abs(g_x - w).max() < 1e-12 * np.abs(w).max()
+    if p is None:
+        assert g_p is None and g_p_vjp is None
+    else:
+        assert np.abs(g_p - g_p_vjp).max() <= 1e-12 * np.abs(g_p_vjp).max()
+    own = w.copy()
+    u_own, g_p_own = layer.inv_jac_t(x, p, own, res, out=own)
+    assert u_own is own and np.array_equal(own, u)
+    assert g_p_own is None if p is None else np.array_equal(g_p_own, g_p)
 
 
 def test_block_validation():
@@ -526,7 +562,7 @@ def test_diff_transpose_matches_reversed_pairwise_diff_bitwise(shape, rng):
     assert np.array_equal(tr.Diff().vjp(None, None, x, None)[0], expected)
     strided = rng.normal(0, 1, shape[:-1] + (2 * shape[-1],))[..., ::2]
     assert np.array_equal(tr._diff_t(strided), tr.pairwise_diff(strided[flip])[flip])
-    assert np.array_equal(tr.Cumsum().inv_jac_t(None, None, strided),
+    assert np.array_equal(tr.Cumsum().inv_jac_t(None, None, strided)[0],
                           tr.pairwise_diff(strided[flip])[flip])
 
 
