@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import softmax
 
 __all__ = ["RqsSpline", "Residuals", "MIN_BIN", "MIN_DERIV", "sigmoid", "reversed_cumsum",
-           "make_knots", "forward", "inverse", "vjp", "inv_jac_t"]
+           "make_knots", "forward", "inverse_block", "inverse", "vjp", "inv_jac_t"]
 
 MIN_BIN = 1e-3
 MIN_DERIV = 1e-3
@@ -102,6 +102,15 @@ class Residuals(NamedTuple):
     kn: Knots                  # the knots of theta
 
 
+def _clip(v, lo, hi):
+    """``np.clip(v, lo, hi)``, but for -0.0 clipped at lo = 0, which comes out
+    +0.0.  Up to 1024 elements it clips with min/max, in half np.clip's time;
+    np.clip wins from ~3000 elements, and by ~10x from 40000."""
+    if np.size(v) <= 1024:
+        return np.minimum(np.maximum(v, lo), hi)
+    return np.clip(v, lo, hi)
+
+
 def sigmoid(x):
     """Logistic function 1 / (1 + exp(-x)), branch-free.
 
@@ -109,7 +118,7 @@ def sigmoid(x):
     |x| <= 500; below -500 the value stays at sigmoid(-500) ~ 7e-218
     instead of underflowing towards 0.
     """
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
+    return 1.0 / (1.0 + np.exp(-_clip(x, -500.0, 500.0)))
 
 
 def reversed_cumsum(x, out=None):
@@ -203,8 +212,6 @@ def _by_blocks(fn, *arrays, out=None):
     """
     shape = arrays[0].shape
     if out is None and arrays[0].size <= _BLOCK:
-        if len(shape) == 1:    # e.g. a column of SequentialInverter: no reshapes
-            return fn(*arrays)
         return [a.reshape(shape) for a in fn(*(a.reshape(-1) for a in arrays))]
     flat = [a.reshape(-1) for a in arrays]
     n = flat[0].size
@@ -299,18 +306,13 @@ def forward(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, keep: bool = Tr
                             np.concatenate(x_hi) if x_hi else None, kn)
 
 
-def inverse(spline: RqsSpline, theta: np.ndarray, y: np.ndarray, knots: Knots | None = None,
-            out: np.ndarray | None = None) -> np.ndarray:
-    """Closed-form inverse (quadratic-formula root per bin, linear tails).
-
-    The result is written into ``out`` when it is given, which may be ``y``.
-    """
-    kn = knots if knots is not None else make_knots(spline, theta)
-    y = np.asarray(y, dtype=np.float64)
+def inverse_block(kn: Knots):
+    """The inverse of one 1-D block under knots ``kn``: the block function of
+    ``inverse``, and the spline's column step in ``SequentialInverter``."""
     d0, d1 = kn.d[0], kn.d[-1]
 
     def block(v):
-        yc = np.clip(v, 0.0, 1.0)
+        yc = _clip(v, 0.0, 1.0)       # a -0.0 that comes out +0.0 changes no bit of x
         k = _bin_index(kn.y_grid, yc).astype(np.intp)
         r = yc - kn.y[k]
         # per bin: a = a0 + r mm, b = b0 - r mm, c = -s r with r = y - y_k
@@ -319,19 +321,26 @@ def inverse(spline: RqsSpline, theta: np.ndarray, y: np.ndarray, knots: Knots | 
         b = kn.b0[k] - r_mm
         c = kn.neg_s[k] * r
         disc = np.maximum(b * b - 4.0 * a * c, 0.0)
-        xi = 2.0 * c / (-b - np.sqrt(disc))
-        xi = np.clip(xi, 0.0, 1.0)
+        xi = _clip(2.0 * c / (-b - np.sqrt(disc)), 0.0, 1.0)
         x = kn.x[k] + kn.w[k] * xi
-        # linear tails
-        lo = v < 0.0
-        hi = v > 1.0
-        if lo.any():
+        # linear tails, where the clip moved v; count_nonzero beats .any() on a column
+        if np.count_nonzero(yc != v):
+            lo, hi = v < 0.0, v > 1.0
             x[lo] = v[lo] / d0
-        if hi.any():
             x[hi] = 1.0 + (v[hi] - 1.0) / d1
-        return (x,)
+        return x
 
-    x, = _by_blocks(block, y, out=out)
+    return block
+
+
+def inverse(spline: RqsSpline, theta: np.ndarray, y: np.ndarray,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """Closed-form inverse (quadratic-formula root per bin, linear tails).
+
+    The result is written into ``out`` when it is given, which may be ``y``.
+    """
+    block = inverse_block(make_knots(spline, theta))
+    x, = _by_blocks(lambda v: (block(v),), np.asarray(y, dtype=np.float64), out=out)
     return x
 
 

@@ -13,6 +13,8 @@ log-diagonal is a read-only broadcast view.  ``inv_jac_t(x, p, w, res,
 out)`` returns u = J^-T w and the parameter cotangent of ``vjp`` at g_y = u,
 g_ld = 0 (``None`` for a layer without parameters).  A layer's
 ``reads_input`` says whether its ``vjp`` and ``inv_jac_t`` read ``x``.
+``column_inverse(p, batch_size)`` builds the step ``(v, j) -> v`` from column
+j of the output to column j of the input, constants and column state inside.
 
 ``forward``, ``inverse``, ``vjp`` and ``inv_jac_t`` take ``out`` in the
 sense of NumPy's ``out=``: the output is written there when it is given,
@@ -167,6 +169,10 @@ class Spline:
     def inverse(self, y, p, out=None):
         return sp.inverse(self.rqs, p, y, out=out)
 
+    def column_inverse(self, p, batch_size):
+        block = sp.inverse_block(sp.make_knots(self.rqs, p))
+        return lambda v, j: block(v)
+
     def vjp(self, x, p, g_y, g_ld, res=None, out=None):
         return sp.vjp(self.rqs, p, x, g_y, g_ld, res=res, out=out)
 
@@ -247,6 +253,19 @@ class BlockDiag:
         b = self.matrix(p)
         return self._by_row_blocks(lambda c: solve_triangular(b, c.T, lower=True).T, y, out=out)
 
+    def column_inverse(self, p, batch_size):
+        b, h = self.matrix(p), self.size
+        buf = np.zeros((batch_size, h))   # the current block's inputs; zeros left of the window
+        # forward substitution at each place r of a block: the inputs before r, row r of B
+        places = [(buf[:, :r], b[r, :r], b[r, r], buf[:, r]) for r in range(h)]
+
+        def step(v, j):
+            before, row, diag, col = places[(j - self.offset) % h]
+            v = (v - before @ row) / diag
+            col[:] = v
+            return v
+        return step
+
     def _param_cotangent(self, g_b, b):
         """The parameters' cotangent from that of the block's entries."""
         return np.concatenate([np.diag(g_b) * np.diag(b), g_b[np.tril_indices(self.size, -1)]])
@@ -294,6 +313,10 @@ class Scale:
     def inverse(self, y, p, out=None):
         return np.multiply(y, np.exp(-p[0]), out=out)
 
+    def column_inverse(self, p, batch_size):
+        s = np.exp(-p[0])
+        return lambda v, j: v * s
+
     def vjp(self, x, p, g_y, g_ld, res=None, out=None):
         s = np.exp(p[0])
         axes = list(range(np.ndim(x)))
@@ -328,6 +351,9 @@ class FixedScale:
     def inverse(self, y, p, out=None):
         return np.divide(y, self.value, out=out)
 
+    def column_inverse(self, p, batch_size):
+        return lambda v, j: v / self.value
+
     def vjp(self, x, p, g_y, g_ld, res=None, out=None):
         return np.multiply(self.value, g_y, out=out), None
 
@@ -340,7 +366,7 @@ class FixedScale:
 
 
 def _clamped(v):
-    return np.clip(v, CLAMP, 1.0 - CLAMP)
+    return sp._clip(v, CLAMP, 1.0 - CLAMP)
 
 
 def _psi_inv_value(v):
@@ -417,17 +443,17 @@ class Bridge:
         block = _psi_inv_forward if k == "psi_inv" else _logit_forward
         return *_by_blocks(block, x, out=out), None
 
+    def _inverse_block(self):
+        return {"psi": _psi_inv_value, "psi_inv": lambda v: -np.expm1(-v),
+                "sigmoid": _logit_value, "logit": sigmoid}[self.kind]
+
     def inverse(self, y, p, out=None):
-        k = self.kind
-        if k == "psi":
-            block = lambda v: (_psi_inv_value(v),)
-        elif k == "psi_inv":
-            block = lambda v: (-np.expm1(-v),)
-        elif k == "sigmoid":
-            block = lambda v: (_logit_value(v),)
-        else:
-            block = lambda v: (sigmoid(v),)
-        return _by_blocks(block, y, out=out)[0]
+        block = self._inverse_block()
+        return _by_blocks(lambda v: (block(v),), y, out=out)[0]
+
+    def column_inverse(self, p, batch_size):
+        block = self._inverse_block()
+        return lambda v, j: block(v)
 
     def vjp(self, x, p, g_y, g_ld, res=None, out=None):
         k = self.kind
@@ -469,6 +495,15 @@ class Cumsum:
     def inverse(self, y, p, out=None):
         return pairwise_diff(y, out=out)
 
+    def column_inverse(self, p, batch_size):
+        prev = np.zeros(batch_size)      # the previous output column
+
+        def step(v, j):
+            g = v - prev
+            prev[:] = v
+            return g
+        return step
+
     def vjp(self, x, p, g_y, g_ld, res=None, out=None):
         return reversed_cumsum(g_y, out=out), None
 
@@ -489,6 +524,14 @@ class Diff:
 
     def inverse(self, y, p, out=None):
         return np.cumsum(y, axis=-1, out=out)
+
+    def column_inverse(self, p, batch_size):
+        total = np.full(batch_size, -0.0)   # the previous input column; -0.0 + v is v
+
+        def step(v, j):
+            np.add(v, total, out=total)
+            return total.copy()
+        return step
 
     def vjp(self, x, p, g_y, g_ld, res=None, out=None):
         return _diff_t(g_y, out=out), None
@@ -785,55 +828,23 @@ def inverse_jac_t_apply(cache: ChainCache, w):
 
 class SequentialInverter:
     """Inverts the chain one column at a time, mimicking an autoregressive
-    sampler: each call to :meth:`step` consumes one z column and emits one
-    time column, using only previously seen columns.
-
-    Spline knots and block matrices are built once, from the parameters the
-    store holds at construction."""
+    sampler: each call to :meth:`step` takes the next z column, shaped
+    ``(batch_size,)``, and returns that column of times, using only the
+    columns seen before.  The parameters are read once, at construction, into
+    each layer's ``column_inverse`` step: later changes to the store do not count."""
 
     def __init__(self, spec: TransformSpec, store: ParamStore, batch_size: int):
-        self.spec = spec
-        self.store = store
-        self.b = batch_size
+        self.batch_size = batch_size
         self.pos = 0
-        self._state = {}
-        self._const = {}
-        for i, layer in enumerate(spec.layers):
-            if isinstance(layer, Cumsum):
-                self._state[i] = np.zeros(batch_size)          # previous output column
-            elif isinstance(layer, Diff):
-                self._state[i] = np.zeros(batch_size)          # previous input column
-            elif isinstance(layer, BlockDiag):
-                self._state[i] = np.zeros((batch_size, layer.size))  # inputs of the current block
-                self._const[i] = layer.matrix(_params_of(layer, store))
-            elif isinstance(layer, Spline):
-                self._const[i] = (layer.rqs, sp.make_knots(layer.rqs, _params_of(layer, store)))
+        self._steps = [layer.column_inverse(_params_of(layer, store), batch_size)
+                       for layer in reversed(spec.layers)]
 
     def step(self, z_col: np.ndarray) -> np.ndarray:
-        v = np.asarray(z_col, dtype=np.float64).copy()
-        j = self.pos
-        for i in range(len(self.spec.layers) - 1, -1, -1):
-            layer = self.spec.layers[i]
-            if isinstance(layer, Cumsum):
-                prev = self._state[i]
-                self._state[i] = v.copy()
-                v = v - prev
-            elif isinstance(layer, Diff):
-                v = v + self._state[i]
-                self._state[i] = v.copy()
-            elif isinstance(layer, BlockDiag):
-                h = layer.size
-                r = (j - layer.offset) % h
-                if r == 0:
-                    self._state[i][:] = 0.0
-                buf = self._state[i]
-                bm = self._const[i]
-                v = (v - buf[:, :r] @ bm[r, :r]) / bm[r, r]
-                buf[:, r] = v
-            elif isinstance(layer, Spline):
-                rqs, knots = self._const[i]
-                v = sp.inverse(rqs, None, v, knots=knots)
-            else:   # an elementwise layer
-                v = layer.inverse(v, _params_of(layer, self.store))
+        v = np.array(z_col, dtype=np.float64)
+        if v.shape != (self.batch_size,):
+            raise ValueError(f"z column has shape {v.shape}; this inverter takes columns "
+                             f"of length {self.batch_size}")
+        for step in self._steps:
+            v = step(v, self.pos)
         self.pos += 1
         return v

@@ -96,3 +96,23 @@ def test_merged_sweep_matches_dense_implicit_gradient(seed):
         got = tr.inverse_jac_t_apply(cache, w)
         assert np.abs(got - expected).max() <= 1e-11 * np.abs(expected).max(), chain
         assert cache.z is None, chain
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_column_steps_match_the_batch_inverse(seed):
+    """On random models of every chain, ``SequentialInverter`` stepped across
+    rows of unit-rate z (as the sampler draws them) gives ``compose_inverse``:
+    bit for bit on chains without a ``BlockDiag``, and within 1e-13 relative
+    on ``tritpp``, whose blocks substitute column by column where the batch
+    solves (measured <= 1.3e-15 over 200 seeds)."""
+    rng = np.random.default_rng([seed, 2])
+    for chain in RANDOM_CHAINS:
+        model = random_model(rng, chain)
+        z = np.cumsum(rng.exponential(1.0, (3, 40)), axis=1)
+        expected = tr.compose_inverse(z, model.spec, model.params)
+        inverter = tr.SequentialInverter(model.spec, model.params, 3)
+        stepped = np.stack([inverter.step(z[:, j]) for j in range(z.shape[1])], axis=1)
+        if chain == "tritpp":
+            assert np.abs(stepped - expected).max() <= 1e-13 * np.abs(expected).max()
+        else:
+            assert np.array_equal(stepped, expected), chain
