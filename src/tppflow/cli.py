@@ -48,24 +48,42 @@ class RunConfig:
     def get(self, key, default=None):
         return self.values.get(key, default)
 
+    def _parsed(self, key, default, parse, expected):
+        """``parse`` of the key's value; a value it refuses is an error that names the key."""
+        raw = self.values.get(key, default)
+        try:
+            return parse(raw)
+        except (TypeError, ValueError):
+            raise ValueError(f"config key {key!r}: expected {expected}, got {raw!r}") from None
+
     def get_float(self, key, default):
-        return float(self.values.get(key, default))
+        return self._parsed(key, default, float, "a number")
 
     def get_int(self, key, default):
-        return int(self.values.get(key, default))
+        return self._parsed(key, default, int, "an integer")
 
     def get_bool(self, key, default):
-        v = str(self.values.get(key, default)).lower()
-        return v in ("1", "true", "yes", "on")
+        return self._parsed(key, default, _switch, "1/true/yes/on or 0/false/no/off")
 
     def get_floats(self, key, default=None):
-        raw = self.values.get(key, default)
-        if raw is None:
-            return None
-        if isinstance(raw, str):
-            return [float(v) for v in raw.split(",") if v.strip()]
-        return list(raw)
+        return self._parsed(key, default, _floats, "comma-separated numbers")
 
+
+def _switch(raw) -> bool:
+    v = str(raw).strip().lower()
+    if v in ("1", "true", "yes", "on"):
+        return True
+    if v in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(v)
+
+
+def _floats(raw):
+    if raw is None:
+        return None
+    if isinstance(raw, str):
+        return [float(v) for v in raw.split(",") if v.strip()]
+    return list(raw)
 
 
 def _write_csv(path, header, rows):

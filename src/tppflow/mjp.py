@@ -205,6 +205,12 @@ def _fb_forward(log_pi, log_a, phi, real, pairwise=True):
     xi_i = a_i (x) P (x) E_{i+1} b_{i+1} / c_{i+1}, with the identity in
     place of P on a skip, which makes xi_i = diag(mu_i).
 
+    E may underflow to 0 for a state (rates 19 apart over a segment of length
+    50 give e**-950), yet every c_i stays > 0: all entries of A are > 0, so a
+    real step leaves each state at least min P of the mass, and E_i has an
+    entry 1.  A skipped step sits on a zero-length segment in the paths
+    ``elbo_relaxed`` and ``posterior_curves`` build.
+
     The recursion runs step-major, on (N, K, S) arrays.  Returns the
     marginals (S, N, K) and pairwise marginals (S, N-1, K, K) as views of
     them, log Z (S,) and the tape that ``_fb_vjp`` reads; without
@@ -326,7 +332,8 @@ def _log0(x):
 
 
 # sigmoid(x) is exactly 1.0 in float64 once exp(-x) <= 2**-53, i.e. for
-# x >= 53 log 2 ~ 36.74, and below e**-37 ~ 8.5e-17 for x <= -37.
+# x >= 53 log 2 ~ 36.74, and below e**-37 ~ 8.5e-17 for x <= -37.  The reach
+# is a property of float64, not an option.
 _SOFT_REACH = 37.0
 _SOFT_CHUNK = 1 << 20   # most window terms evaluated at once
 

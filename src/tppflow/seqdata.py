@@ -63,7 +63,10 @@ class PaddedBatch:
     ``times`` is (B, N') with events first, then T entries; ``mask`` is 1.0 on
     events and 0.0 on padding, non-increasing left to right within a row.
     Real events (mask > 0) are held to ``EventSequence``'s rules: each after
-    time 0, and no two at the same time.
+    time 0, and no two at the same time.  The chain pins every zero gap as
+    padding; a ``BlockDiag`` would hand a pinned gap between real events the
+    cotangent of later positions, which the ``logit`` bridge's VJP scales by
+    ~1e12 (``grad_times`` read +-4.1e10 at two equal times of a ``tritpp`` row).
     """
 
     times: np.ndarray

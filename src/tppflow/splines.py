@@ -30,11 +30,18 @@ MIN_DERIV = 1e-3
 # softplus(_DERIV_SHIFT) == 1 - MIN_DERIV, so zero logits give derivative 1.
 _DERIV_SHIFT = float(np.log(np.expm1(1.0 - MIN_DERIV)))
 # Cells of the uniform grid the bin lookup reads.  A cell (1/2048 wide) is
-# narrower than the narrowest bin (MIN_BIN), so it holds at most one knot.
+# narrower than the narrowest bin (MIN_BIN), so it holds at most one knot;
+# 1024 cells (9.8e-4 wide) would also do, with 2% to spare, and 2048 keeps a
+# factor of two.  A power of two, so the cell of v is computed without
+# rounding.
 _GRID = 2048
 # Elements per block in forward, inverse and vjp.  A block's temporaries
 # (64 kB each) stay in cache and are recycled by the allocator, where
-# whole-batch temporaries are paged in afresh on every call.
+# whole-batch temporaries are paged in afresh on every call.  The library
+# removes such allocations rather than set allocator options: glibc's trim
+# and mmap thresholds belong to the whole host process and are read only at
+# start-up, and mallopt would change every other allocation of the host
+# (and exists only on glibc).
 _BLOCK = 8192
 
 
@@ -232,7 +239,11 @@ def _rational(kn: Knots, k, xi):
     value = y_k + h num / den and derivative = s^2 q / den^2, with
     u = xi (1 - xi), num = s xi^2 + d_lo u, den = s + mm u, and q, which only
     the derivative reads, in Horner form: q = d_lo + xi (2a + mm xi) with
-    a = s - d_lo.
+    a = s - d_lo.  These stay apart from ``_slope_units``, so the value keeps
+    the bits of its per-element transcription.  Horner's sum cancels where
+    d_lo is far above d_hi near xi = 1, so the log-derivative's error grows
+    with the parameter scale: against 80-bit arithmetic, 7e-16 at scale 0.2
+    and up to 9.7e-14 at scale 3.
     """
     u = xi * (1.0 - xi)
     s = kn.s[k]

@@ -197,3 +197,12 @@ def test_config_parse_errors(tmp_path):
         cli.RunConfig.load(str(bad), [])
     with pytest.raises(ValueError):
         cli.RunConfig.load(None, ["keyonly"])
+    # a value that does not parse fails and names its key; a switch never reads a typo as off
+    cfg = cli.RunConfig.load(None, ["mcmc=ture", "split=nope", "n=1.5", "vi.lr=fast",
+                                    "mjp.lam=1,x", "a=On", "b=OFF", "c= no "])
+    for get, key in ((cfg.get_bool, "mcmc"), (cfg.get_bool, "split"), (cfg.get_int, "n"),
+                     (cfg.get_float, "vi.lr"), (cfg.get_floats, "mjp.lam")):
+        with pytest.raises(ValueError, match=f"config key '{key}'"):
+            get(key, None)
+    assert [cfg.get_bool(k, None) for k in "abc"] == [True, False, False]
+    assert cfg.get_bool("absent", True) and not cfg.get_bool("absent", False)

@@ -363,10 +363,12 @@ def test_consumed_cache_fails_loudly(rng):
 
 
 # ---------------------------------------------------------------------------
-# inversion accuracy: open defects, listed in ROADMAP.md. The chain loses
-# precision through logit(sigmoid(x)) once |x| passes ~20. Both tests fail
-# until that is fixed; strict xfail then reports them as failures, and the
-# marks must be lifted.
+# inversion accuracy: open defects, listed in ROADMAP.md (item 3). On long
+# rows psi's inverse loses precision near 1 (4.4e-6 here, at y = 1 - 3e-12,
+# with every logit below 30); at parameter scale 1.0 the block outputs reach
+# +-160 and the inverse is wrong with no error. Both tests fail until that
+# is fixed; strict xfail then reports them as failures, and the marks must
+# be lifted.
 
 
 def _shifted_model(kind, scale):
