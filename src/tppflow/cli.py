@@ -1,26 +1,93 @@
 """Command-line toolkit: train / sample / eval / vi / bench.
 
 Configuration is a flat set of dotted keys.  Precedence: ``--set key=value``
-flags beat the ``--config`` file, which beats the built-in defaults.  Every
+flags beat the ``--config`` file, which beats the built-in defaults.  Each
+command reads the keys ``key_table()`` lists for it; every one is parsed
+before the command starts, and a key it does not read is an error.  Every
 command takes --config, --seed, --out and --threads; all outputs are CSV or
-JSON files under --out.  Heavy imports happen after --threads is applied so
-the thread caps actually reach the numeric libraries.
+JSON files under --out.  Heavy imports, the key table's among them, happen
+after --threads is applied so the thread caps reach the numeric libraries.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import os
 import sys
 import time
 
-__all__ = ["main", "RunConfig", "run_bench", "BENCH_LENGTHS"]
+__all__ = ["main", "parse_args", "RunConfig", "key_table", "run_bench", "BENCH_LENGTHS"]
 
 BENCH_LENGTHS = (100, 200, 400, 800, 1600, 3200, 6400, 12800)
 
 
+def _parser(expected, convert, ok=lambda value: True):
+    """A key's parse function: ``convert`` the raw string and refuse a value
+    ``ok`` rejects; its error says what was ``expected``."""
+    def parse(raw):
+        try:
+            value = convert(raw)
+            if ok(value):
+                return value
+        except (KeyError, ValueError):
+            pass
+        raise ValueError(expected)
+    return parse
+
+
+_TYPED = {"int": _parser("an integer", int), "float": _parser("a number", float)}
+_COUNT = _parser("a positive integer", int, lambda v: v >= 1)
+_SWITCHES = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+             **dict.fromkeys(("0", "false", "no", "off"), False)}
+_SWITCH = _parser("1/true/yes/on or 0/false/no/off", lambda raw: _SWITCHES[raw.lower()])
+_FLOATS = _parser("comma-separated numbers",
+                  lambda raw: tuple(float(v) for v in raw.split(",") if v.strip()))
+
+
+def _fields(cls, prefix, **names):
+    """Keys ``prefix.name`` that set ``cls``'s field ``names[name]``, with its type and default."""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    return {f"{prefix}.{name}": (_TYPED[fields[field].type], fields[field].default, cls, field)
+            for name, field in names.items()}
+
+
+def key_table():
+    """Each command's keys: key -> (parse, default), or (parse, default, class,
+    field) for a key that sets a field of a config class.  Built on call, as
+    the config classes import NumPy."""
+    from .mjp import ViConfig
+    from .models import KINDS, ModelKind
+    from .train import TrainConfig
+
+    path = (str, None)
+    lengths = _parser("comma-separated positive integers",
+                      lambda raw: tuple(int(v) for v in raw.split(",")), lambda v: min(v) >= 1)
+    return {
+        "train": {"data": path,
+                  "model.kind": (_parser(f"one of {', '.join(KINDS)}", str, KINDS.__contains__),
+                                 "tritpp"),
+                  **_fields(ModelKind, "model", knots="n_knots", block_size="block_size",
+                            blocks="n_blocks", rate_init="rate_init"),
+                  **_fields(TrainConfig, "train", lr="lr", l2="l2", epochs="max_epochs",
+                            plateau="plateau_patience", early_stop="early_stop_patience")},
+        "sample": {"checkpoint": path, "n": (_COUNT, 100)},
+        "eval": {"checkpoint": path, "data": path, "split": (_SWITCH, True)},
+        "vi": {"data": path, "mjp.k": (_COUNT, 1), "mjp.pi": (_FLOATS, None),
+               "mjp.a": (_FLOATS, (0.1,)), "mjp.lam": (_FLOATS, None),
+               "vi.mode": (_parser("posterior or learn", str, ("posterior", "learn").__contains__),
+                           "posterior"),
+               **_fields(ViConfig, "vi", iters="iters", mc="mc_samples", gamma="gamma",
+                         lr="lr", knots="n_knots", blocks="n_blocks", block_size="block_size"),
+               "grid": (_COUNT, 200), "mcmc": (_SWITCH, False), "mcmc.samples": (_COUNT, 1000),
+               "mcmc.burn_in": (_parser("an integer >= 0", int, lambda v: v >= 0), 100)},
+        "bench": {"lengths": (lengths, BENCH_LENGTHS), "batch": (_COUNT, 100),
+                  "runs": (_COUNT, 100)},
+    }
+
+
 class RunConfig:
-    """Flat dotted-key configuration with typed getters."""
+    """Flat dotted-key configuration, read through a command's key table."""
 
     def __init__(self, values: dict[str, str]):
         self.values = dict(values)
@@ -45,45 +112,28 @@ class RunConfig:
             values[key.strip()] = val.strip()
         return cls(values)
 
-    def get(self, key, default=None):
-        return self.values.get(key, default)
-
-    def _parsed(self, key, default, parse, expected):
-        """``parse`` of the key's value; a value it refuses is an error that names the key."""
-        raw = self.values.get(key, default)
-        try:
-            return parse(raw)
-        except (TypeError, ValueError):
-            raise ValueError(f"config key {key!r}: expected {expected}, got {raw!r}") from None
-
-    def get_float(self, key, default):
-        return self._parsed(key, default, float, "a number")
-
-    def get_int(self, key, default):
-        return self._parsed(key, default, int, "an integer")
-
-    def get_bool(self, key, default):
-        return self._parsed(key, default, _switch, "1/true/yes/on or 0/false/no/off")
-
-    def get_floats(self, key, default=None):
-        return self._parsed(key, default, _floats, "comma-separated numbers")
-
-
-def _switch(raw) -> bool:
-    v = str(raw).strip().lower()
-    if v in ("1", "true", "yes", "on"):
-        return True
-    if v in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(v)
-
-
-def _floats(raw):
-    if raw is None:
-        return None
-    if isinstance(raw, str):
-        return [float(v) for v in raw.split(",") if v.strip()]
-    return list(raw)
+    def read(self, command: str) -> dict:
+        """Every key of ``command``, parsed or defaulted; the keys that set a
+        config class's fields are gathered under the class as keyword
+        arguments.  A value that does not parse, and a key the command does
+        not read, are errors that name the key."""
+        table = key_table()[command]
+        unknown = [key for key in self.values if key not in table]
+        if unknown:
+            raise ValueError(f"{command} reads no config key {', '.join(map(repr, unknown))}; "
+                             f"its keys are {', '.join(table)}")
+        opts = {}
+        for key, (parse, default, *field) in table.items():
+            raw = self.values.get(key)
+            try:
+                value = default if raw is None else parse(raw)
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r}: expected {exc}, got {raw!r}") from None
+            if field:
+                opts.setdefault(field[0], {})[field[1]] = value
+            else:
+                opts[key] = value
+        return opts
 
 
 def _write_csv(path, header, rows):
@@ -94,19 +144,6 @@ def _write_csv(path, header, rows):
             w.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
 
 
-def _model_kind_from(cfg: "RunConfig", horizon: float):
-    from .models import ModelKind
-
-    return ModelKind(
-        kind=cfg.get("model.kind", "tritpp"),
-        horizon=horizon,
-        n_knots=cfg.get_int("model.knots", 10),
-        block_size=cfg.get_int("model.block_size", 8),
-        n_blocks=cfg.get_int("model.blocks", 2),
-        rate_init=cfg.get_float("model.rate_init", 1.0),
-    )
-
-
 def _require_file(path, what):
     if not path:
         raise ValueError(f"no {what} given (use --data / --checkpoint or --set)")
@@ -115,27 +152,19 @@ def _require_file(path, what):
     return path
 
 
-def cmd_train(cfg: RunConfig, seed: int, out: str) -> int:
+def cmd_train(opts: dict, seed: int, out: str) -> int:
     import numpy as np
 
     from . import seqdata
-    from .models import build_model, save_checkpoint
+    from .models import ModelKind, build_model, save_checkpoint
     from .train import TrainConfig, fit_mle
 
-    data_path = _require_file(cfg.get("data"), "dataset")
+    tc = TrainConfig(**opts[TrainConfig])
+    data_path = _require_file(opts["data"], "dataset")
     dataset = seqdata.read_dataset(data_path)
     split = seqdata.split_dataset(dataset, seed)
-    horizon = dataset[0].horizon
-    kind = _model_kind_from(cfg, horizon)
-    model = build_model(kind)
-    tc = TrainConfig(
-        lr=cfg.get_float("train.lr", 1e-2),
-        l2=cfg.get_float("train.l2", 0.0),
-        max_epochs=cfg.get_int("train.epochs", 5000),
-        plateau_patience=cfg.get_int("train.plateau", 100),
-        early_stop_patience=cfg.get_int("train.early_stop", 300),
-    )
-    result = fit_mle(model, split, tc)
+    kind = ModelKind(opts["model.kind"], dataset[0].horizon, **opts[ModelKind])
+    result = fit_mle(build_model(kind), split, tc)
 
     os.makedirs(out, exist_ok=True)
     save_checkpoint(os.path.join(out, "checkpoint.json"), result.model, kind,
@@ -154,18 +183,15 @@ def cmd_train(cfg: RunConfig, seed: int, out: str) -> int:
     return 0
 
 
-def cmd_sample(cfg: RunConfig, seed: int, out: str) -> int:
+def cmd_sample(opts: dict, seed: int, out: str) -> int:
     from . import seqdata
     from .models import load_checkpoint
     from .tpp import sample
 
-    ckpt = _require_file(cfg.get("checkpoint"), "checkpoint")
-    n = cfg.get_int("n", 100)
-    if n < 1:
-        raise ValueError(f"need a positive number of sequences, got {n}")
+    ckpt = _require_file(opts["checkpoint"], "checkpoint")
+    n = opts["n"]
     model, _, _ = load_checkpoint(ckpt)
-    batch = sample(model, n, seed)
-    sequences = batch.to_sequences()
+    sequences = sample(model, n, seed).to_sequences()
     os.makedirs(out, exist_ok=True)
     seqdata.write_dataset(os.path.join(out, "samples.jsonl"), sequences)
     _write_csv(os.path.join(out, "lengths.csv"), ["row", "length"],
@@ -175,21 +201,18 @@ def cmd_sample(cfg: RunConfig, seed: int, out: str) -> int:
     return 0
 
 
-def cmd_eval(cfg: RunConfig, seed: int, out: str) -> int:
+def cmd_eval(opts: dict, seed: int, out: str) -> int:
     from . import seqdata
     from .metrics import MmdConfig, mmd, wasserstein_lengths
     from .models import load_checkpoint
     from .tpp import sample
     from .train import nll_per_event
 
-    ckpt = _require_file(cfg.get("checkpoint"), "checkpoint")
-    data_path = _require_file(cfg.get("data"), "dataset")
+    ckpt = _require_file(opts["checkpoint"], "checkpoint")
+    data_path = _require_file(opts["data"], "dataset")
     model, kind, extra = load_checkpoint(ckpt)
     dataset = seqdata.read_dataset(data_path)
-    if cfg.get_bool("split", True):
-        test_set = seqdata.split_dataset(dataset, seed).test
-    else:
-        test_set = dataset
+    test_set = seqdata.split_dataset(dataset, seed).test if opts["split"] else dataset
     if not test_set:
         raise ValueError("evaluation set is empty")
     test_batch = seqdata.pad_batch(test_set)
@@ -211,22 +234,25 @@ def cmd_eval(cfg: RunConfig, seed: int, out: str) -> int:
     return 0
 
 
-def _mmpp_params_from(cfg: RunConfig):
+def _mmpp_params(opts: dict):
+    """``MmppParams`` from the mjp.* keys; a list that does not fit ``mjp.k``
+    is an error that names its key."""
     import numpy as np
 
     from .mjp import MmppParams
 
-    k = cfg.get_int("mjp.k", 1)
-    pi = cfg.get_floats("mjp.pi")
-    pi = np.full(k, 1.0 / k) if pi is None else np.asarray(pi)
-    a = cfg.get_floats("mjp.a", "0.1")
-    a = np.full((k, k), a[0]) if len(a) == 1 else np.asarray(a).reshape(k, k)
-    lam = cfg.get_floats("mjp.lam")
-    lam = np.ones(k) if lam is None else np.asarray(lam)
-    return MmppParams(pi, a, lam)
+    k = opts["mjp.k"]
+    for key, sizes in (("mjp.pi", {k}), ("mjp.a", {1, k * k}), ("mjp.lam", {k})):
+        if opts[key] is not None and len(opts[key]) not in sizes:
+            raise ValueError(f"config key {key!r}: expected {' or '.join(map(str, sorted(sizes)))} "
+                             f"values for mjp.k = {k}, got {len(opts[key])}")
+    pi, a, lam = opts["mjp.pi"], np.asarray(opts["mjp.a"]), opts["mjp.lam"]
+    return MmppParams(np.full(k, 1.0 / k) if pi is None else np.asarray(pi),
+                      np.full((k, k), a[0]) if a.size == 1 else a.reshape(k, k),
+                      np.ones(k) if lam is None else np.asarray(lam))
 
 
-def cmd_vi(cfg: RunConfig, seed: int, out: str) -> int:
+def cmd_vi(opts: dict, seed: int, out: str) -> int:
     import json
 
     import numpy as np
@@ -234,35 +260,23 @@ def cmd_vi(cfg: RunConfig, seed: int, out: str) -> int:
     from . import seqdata
     from .mjp import ViConfig, fit_vi, grid_times, posterior_curves, rao_teh_posterior
 
-    data_path = _require_file(cfg.get("data"), "observation file")
+    params = _mmpp_params(opts)
+    vc = ViConfig(seed=seed, **opts[ViConfig])
+    mode, n_grid = opts["vi.mode"], opts["grid"]
+    data_path = _require_file(opts["data"], "observation file")
     dataset = seqdata.read_dataset(data_path)
     if not dataset:
         raise ValueError(f"{data_path}: no observation record")
     obs, horizon = dataset[0].times, dataset[0].horizon
-    params = _mmpp_params_from(cfg)
-    vc = ViConfig(
-        lr=cfg.get_float("vi.lr", 0.01),
-        iters=cfg.get_int("vi.iters", 300),
-        mc_samples=cfg.get_int("vi.mc", 512),
-        gamma=cfg.get_float("vi.gamma", 0.1),
-        seed=seed,
-        n_knots=cfg.get_int("vi.knots", 10),
-        block_size=cfg.get_int("vi.block_size", 4),
-        n_blocks=cfg.get_int("vi.blocks", 2),
-    )
-    mode = cfg.get("vi.mode", "posterior")
-    n_grid = cfg.get_int("grid", 200)
     result = fit_vi(obs, params, horizon, mode, vc)
     curves = posterior_curves(result.q_model, result.params, obs, n_grid=n_grid,
                               n_samples=vc.mc_samples, seed=seed + 1)
     grid = grid_times(horizon, n_grid)
     rows = [(float(grid[i]), k, float(curves[i, k]), "vi")
             for i in range(n_grid) for k in range(params.n_states)]
-    if cfg.get_bool("mcmc", False):
-        occ = rao_teh_posterior(obs, result.params, horizon,
-                                n_samples=cfg.get_int("mcmc.samples", 1000),
-                                burn_in=cfg.get_int("mcmc.burn_in", 100),
-                                seed=seed + 2, n_grid=n_grid)
+    if opts["mcmc"]:
+        occ = rao_teh_posterior(obs, result.params, horizon, n_samples=opts["mcmc.samples"],
+                                burn_in=opts["mcmc.burn_in"], seed=seed + 2, n_grid=n_grid)
         rows += [(float(grid[i]), k, float(occ[i, k]), "mcmc")
                  for i in range(n_grid) for k in range(params.n_states)]
     os.makedirs(out, exist_ok=True)
@@ -297,42 +311,26 @@ def run_bench(lengths, batch: int, runs: int, seed: int):
     horizon = 100.0
     rows = []
     for length in lengths:
-        kind = ModelKind("tritpp", horizon, n_knots=20, block_size=16, n_blocks=4,
-                         rate_init=length / horizon)
-        model = build_model(kind)
+        model = build_model(ModelKind("tritpp", horizon, n_knots=20, block_size=16, n_blocks=4,
+                                      rate_init=length / horizon))
         rng = stream(seed, 6, length)
         times = np.sort(rng.uniform(0, horizon, size=(batch, length)), axis=1)
         pb = PaddedBatch(times, np.ones_like(times), horizon)
-
-        t_lp = []
-        for _ in range(runs):
-            t0 = time.perf_counter()
-            log_prob_grad(model, pb)
-            t_lp.append(time.perf_counter() - t0)
-        rows.append((length, "logprob_grad", "tritpp", float(np.median(t_lp)), runs))
-
-        t_par = []
-        for r in range(runs):
-            t0 = time.perf_counter()
-            sample(model, batch, seed + r)
-            t_par.append(time.perf_counter() - t0)
-        rows.append((length, "sample", "parallel", float(np.median(t_par)), runs))
-
-        t_seq = []
-        for r in range(runs):
-            t0 = time.perf_counter()
-            sequential_sample(model, batch, seed + r)
-            t_seq.append(time.perf_counter() - t0)
-        rows.append((length, "sample", "sequential", float(np.median(t_seq)), runs))
+        calls = (("logprob_grad", "tritpp", lambda r: log_prob_grad(model, pb)),
+                 ("sample", "parallel", lambda r: sample(model, batch, seed + r)),
+                 ("sample", "sequential", lambda r: sequential_sample(model, batch, seed + r)))
+        for operation, method, call in calls:
+            seconds = []
+            for r in range(runs):
+                t0 = time.perf_counter()
+                call(r)
+                seconds.append(time.perf_counter() - t0)
+            rows.append((length, operation, method, float(np.median(seconds)), runs))
     return rows
 
 
-def cmd_bench(cfg: RunConfig, seed: int, out: str) -> int:
-    lengths = cfg.get_floats("lengths")
-    lengths = [int(v) for v in lengths] if lengths else list(BENCH_LENGTHS)
-    batch = cfg.get_int("batch", 100)
-    runs = cfg.get_int("runs", 100)
-    rows = run_bench(lengths, batch, runs, seed)
+def cmd_bench(opts: dict, seed: int, out: str) -> int:
+    rows = run_bench(opts["lengths"], opts["batch"], opts["runs"], seed)
     os.makedirs(out, exist_ok=True)
     _write_csv(os.path.join(out, "bench.csv"),
                ["length", "operation", "method", "median_seconds", "runs"], rows)
@@ -341,16 +339,13 @@ def cmd_bench(cfg: RunConfig, seed: int, out: str) -> int:
     return 0
 
 
-COMMANDS = {
-    "train": cmd_train,
-    "sample": cmd_sample,
-    "eval": cmd_eval,
-    "vi": cmd_vi,
-    "bench": cmd_bench,
-}
+COMMANDS = {"train": cmd_train, "sample": cmd_sample, "eval": cmd_eval, "vi": cmd_vi,
+            "bench": cmd_bench}
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
+    """The command line; --data and --checkpoint become the last --set values,
+    so a shortcut beats ``--set`` as the last value of a key wins."""
     parser = argparse.ArgumentParser(
         prog="tppflow",
         description="Temporal point processes as increasing triangular maps.")
@@ -364,17 +359,19 @@ def main(argv=None) -> int:
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE")
     args = parser.parse_args(argv)
+    args.overrides = args.overrides + [f"{key}={getattr(args, key)}"
+                                       for key in ("data", "checkpoint") if getattr(args, key)]
+    return args
 
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
     if args.threads is not None:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(args.threads)
     try:
-        cfg = RunConfig.load(args.config, args.overrides)
-        if args.data:
-            cfg.values["data"] = args.data
-        if args.checkpoint:
-            cfg.values["checkpoint"] = args.checkpoint
-        return COMMANDS[args.command](cfg, args.seed, args.out)
+        opts = RunConfig.load(args.config, args.overrides).read(args.command)
+        return COMMANDS[args.command](opts, args.seed, args.out)
     except Exception as exc:  # noqa: BLE001 - single reporting point for the CLI
         print(f"error: {exc}", file=sys.stderr)
         return 1

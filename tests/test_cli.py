@@ -4,10 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from tppflow import cli, seqdata
+from tppflow import cli, mjp, seqdata
 from tppflow.cli import main
 from tppflow.mjp import MmppParams, simulate_mmpp
 from tppflow.models import load_checkpoint
+from tppflow.train import TrainConfig
 
 
 def read_csv(path):
@@ -197,12 +198,58 @@ def test_config_parse_errors(tmp_path):
         cli.RunConfig.load(str(bad), [])
     with pytest.raises(ValueError):
         cli.RunConfig.load(None, ["keyonly"])
+
+    def read(command, *settings):
+        return cli.RunConfig.load(None, list(settings)).read(command)
+
     # a value that does not parse fails and names its key; a switch never reads a typo as off
-    cfg = cli.RunConfig.load(None, ["mcmc=ture", "split=nope", "n=1.5", "vi.lr=fast",
-                                    "mjp.lam=1,x", "a=On", "b=OFF", "c= no "])
-    for get, key in ((cfg.get_bool, "mcmc"), (cfg.get_bool, "split"), (cfg.get_int, "n"),
-                     (cfg.get_float, "vi.lr"), (cfg.get_floats, "mjp.lam")):
-        with pytest.raises(ValueError, match=f"config key '{key}'"):
-            get(key, None)
-    assert [cfg.get_bool(k, None) for k in "abc"] == [True, False, False]
-    assert cfg.get_bool("absent", True) and not cfg.get_bool("absent", False)
+    for command, setting in (("vi", "mcmc=ture"), ("eval", "split=nope"), ("sample", "n=1.5"),
+                             ("vi", "vi.lr=fast"), ("vi", "mjp.lam=1,x")):
+        with pytest.raises(ValueError, match=f"config key '{setting.split('=')[0]}'"):
+            read(command, setting)
+    assert read("vi", "mcmc=On")["mcmc"] is True
+    assert read("eval", "split=OFF")["split"] is False and read("eval", "split= no ")["split"] is False
+    # an absent key takes its default, which a config class owns where the key sets its field
+    assert read("eval")["split"] is True and read("vi")["mcmc"] is False
+    assert read("train")[TrainConfig] == vars(TrainConfig())
+
+
+@pytest.fixture(scope="module")
+def obs_2state(tmp_path_factory):
+    p2 = MmppParams(np.array([0.5, 0.5]), np.full((2, 2), 0.3), np.array([1.0, 4.0]))
+    _, obs = simulate_mmpp(p2, 5.0, seed=3)
+    path = tmp_path_factory.mktemp("obs") / "obs.jsonl"
+    seqdata.write_dataset(path, [seqdata.EventSequence(obs, 5.0)])
+    return str(path)
+
+
+@pytest.mark.parametrize("command, setting, message", [
+    ("vi", "vi.iter=5", "vi reads no config key 'vi.iter'"),
+    ("vi", "mcmc.sample=10", "vi reads no config key 'mcmc.sample'"),
+    ("eval", "train.epochs=3", "eval reads no config key 'train.epochs'"),
+    ("vi", "grid=0", "config key 'grid'"),
+    ("vi", "mcmc=ture", "config key 'mcmc'"),
+    ("vi", "mcmc.samples=0", "config key 'mcmc.samples'"),
+    ("vi", "mcmc.burn_in=-1", "config key 'mcmc.burn_in'"),
+    ("vi", "mjp.pi=0.5", "config key 'mjp.pi'"),
+    ("vi", "mjp.a=0.1,0.2,0.3", "config key 'mjp.a'"),
+    ("vi", "mjp.lam=1,2,3", "config key 'mjp.lam'"),
+    ("bench", "runs=0", "config key 'runs'"),
+    ("bench", "batch=0", "config key 'batch'"),
+    ("bench", "lengths=100.7", "config key 'lengths'"),
+    ("bench", "lengths=100,-5", "config key 'lengths'"),
+])
+def test_bad_keys_fail_before_any_work(tmp_path, capsys, monkeypatch, obs_2state,
+                                       command, setting, message):
+    def reached(*args, **kwargs):
+        pytest.fail("the command ran past its key check")
+
+    monkeypatch.setattr(mjp, "fit_vi", reached)
+    monkeypatch.setattr(cli, "run_bench", reached)
+    base = {"vi": ["--data", obs_2state, "--set", "mjp.k=2"], "eval": [],
+            "bench": ["--set", "lengths=100", "--set", "batch=2", "--set", "runs=1"]}[command]
+    out = tmp_path / "never"
+    rc = main([command, "--seed", "1", "--out", str(out), *base, "--set", setting])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
