@@ -13,7 +13,7 @@ from scipy.special import softmax
 
 from . import tpp
 from .rng import stream
-from .splines import sigmoid
+from .splines import _BLOCK, sigmoid
 from .tpp import TppModel
 from .models import ModelKind, build_model
 
@@ -250,8 +250,7 @@ def _fb_forward(log_pi, log_a, phi, real, pairwise=True):
     xi *= p[:, :, None]
     # a skip's pairwise is diag(mu_i): its off-diagonal is 0
     xi *= real[:, None, None]
-    diag = np.arange(k)
-    xi[:, diag, diag] += np.where(real[:, None], 0.0, mu[:-1])
+    xi.reshape(n - 1, k * k, s)[:, ::k + 1] += np.where(real[:, None], 0.0, mu[:-1])
     tape = (real, p, alpha, v, mu, xi)
     return mu.transpose(2, 0, 1), xi.transpose(3, 0, 1, 2), log_z, tape
 
@@ -335,7 +334,6 @@ def _log0(x):
 # x >= 53 log 2 ~ 36.74, and below e**-37 ~ 8.5e-17 for x <= -37.  The reach
 # is a property of float64, not an option.
 _SOFT_REACH = 37.0
-_SOFT_CHUNK = 1 << 20   # most window terms evaluated at once
 
 
 def _soft_counts(boundaries, obs, gamma):
@@ -348,7 +346,8 @@ def _soft_counts(boundaries, obs, gamma):
     observations.
     Only the window in between is evaluated, once per distinct boundary
     (every row starts at 0 and padded rows repeat the horizon), with the
-    windows of all boundaries laid end to end.
+    windows of all boundaries laid end to end, ``_BLOCK`` terms at a time.  No
+    window is split, so its sum is one ``bincount`` at any block size.
     """
     b, which = np.unique(boundaries.ravel(), return_inverse=True)
     obs = np.sort(obs)
@@ -360,9 +359,9 @@ def _soft_counts(boundaries, obs, gamma):
     sbp = np.zeros(b.size)
     start = 0
     while start < b.size:
-        # boundaries [start, stop) hold at most _SOFT_CHUNK terms, or are one boundary
+        # boundaries [start, stop) hold at most _BLOCK terms, or are one boundary
         first = ends[start] - width[start]
-        stop = max(start + 1, int(np.searchsorted(ends, first + _SOFT_CHUNK, side="right")))
+        stop = max(start + 1, int(np.searchsorted(ends, first + _BLOCK, side="right")))
         w = width[start:stop]
         row = np.repeat(np.arange(w.size), w)
         idx = np.repeat(lo[start:stop] - (ends[start:stop] - w - first), w)
@@ -427,7 +426,8 @@ def elbo_relaxed(q_model: TppModel, params: MmppParams, obs: np.ndarray, n_sampl
     log_mu0 = _log0(mu[:, 0])
     t6 = -(mu[:, 0] * log_mu0).sum(axis=1)
     if n > 1:
-        t3 = (gates[:, :n - 1] * (xi * log_a[None, None]).sum(axis=(2, 3))).sum(axis=1)
+        xi_log_a = (xi * log_a).sum(axis=(2, 3))
+        t3 = (gates[:, :n - 1] * xi_log_a).sum(axis=1)
         # log of the transition posterior xi / mu_from, shared by the pair
         # entropy and its cotangent
         log_cond = _log0(xi)
@@ -451,11 +451,15 @@ def elbo_relaxed(q_model: TppModel, params: MmppParams, obs: np.ndarray, n_sampl
     g_mu[:, 0] += -(log_mu0 + 1.0) * (mu[:, 0] > 0)
     gate_cot = np.zeros((s, n))
     if n > 1:
-        g_xi = gates[:, :n - 1, None, None] * (log_a[None, None] - (log_cond + 1.0))
-        g_xi = np.where(xi > 0, g_xi, 0.0)
+        # gates (log_a - (log_cond + 1)) where xi > 0, else 0, in log_cond's buffer
+        g_xi = log_cond
+        g_xi += 1.0
+        np.subtract(log_a, g_xi, out=g_xi)
+        g_xi *= gates[:, :n - 1, None, None]
+        np.copyto(g_xi, 0.0, where=~(xi > 0))
         g_mu[:, :-1] += gates[:, :n - 1, None] * np.where(
             mu[:, :-1] > 0, xi.sum(axis=3) / np.where(mu[:, :-1] > 0, mu[:, :-1], 1.0), 0.0)
-        gate_cot[:, :n - 1] += (xi * log_a[None, None]).sum(axis=(2, 3)) - ent_pair
+        gate_cot[:, :n - 1] += xi_log_a - ent_pair
     else:
         g_xi = np.zeros((s, 0, k, k))
 
@@ -504,6 +508,12 @@ class ViConfig:
     n_knots: int = 10
     block_size: int = 4
     n_blocks: int = 2
+
+    def __post_init__(self):
+        bad = [f"{f} must be >= 1" for f in ("iters", "mc_samples") if not getattr(self, f) >= 1]
+        bad += [f"{f} must be > 0" for f in ("lr", "gamma") if not getattr(self, f) > 0]
+        if bad:
+            raise ValueError(", ".join(bad))
 
 
 @dataclass
@@ -586,15 +596,24 @@ def posterior_curves(q_model: TppModel, params: MmppParams, obs: np.ndarray,
     mu, _, _, _ = _fb_forward(np.log(params.pi), np.log(params.A), phi, real, pairwise=False)
     # seg[r, g] = #(clipped[r] <= grid[g]), capped at n - 1: each time counts
     # from the first grid point at or above it on, so one pooled bincount of
-    # those points (offset per row) and a cumsum along the grid give all rows
-    rows = np.arange(s)[:, None]
-    first = np.searchsorted(grid, clipped, side="left") + rows * (n_grid + 1)
-    starts = np.bincount(first.ravel(), minlength=s * (n_grid + 1)).reshape(s, n_grid + 1)
-    seg = np.minimum(np.cumsum(starts[:, :n_grid], axis=1), n - 1)
-    # mu[rows, seg] as one flat take (a third of the fancy-index time); the
-    # reduction over the outer axis adds the rows in order
-    picked = np.take(mu.reshape(s * n, -1), seg + rows * n, axis=0)
-    return picked.sum(axis=0) / s
+    # those points (offset per row) and a cumsum along the grid give a block
+    # of rows; a block picks about _BLOCK values of mu
+    k = params.n_states
+    flat_mu = mu.reshape(s * n, k)
+    step = max(1, _BLOCK // (n_grid * k))
+    buf = np.zeros((min(step, s) + 1, n_grid, k))
+    for r0 in range(0, s, step):
+        m = min(step, s - r0)
+        rows = np.arange(m)[:, None]
+        first = np.searchsorted(grid, clipped[r0:r0 + m], side="left") + rows * (n_grid + 1)
+        starts = np.bincount(first.ravel(), minlength=m * (n_grid + 1)).reshape(m, n_grid + 1)
+        seg = np.minimum(np.cumsum(starts[:, :n_grid], axis=1), n - 1)
+        # mu[rows, seg] as one flat take (a third of the fancy-index time); buf[0]
+        # carries the sum so far, and the reduction over the outer axis adds
+        # the rows in order
+        np.take(flat_mu, seg + (rows + r0) * n, axis=0, out=buf[1:m + 1])
+        buf[0] = buf[:m + 1].sum(axis=0)
+    return buf[0] / s
 
 
 # ---------------------------------------------------------------------------

@@ -35,13 +35,14 @@ _DERIV_SHIFT = float(np.log(np.expm1(1.0 - MIN_DERIV)))
 # factor of two.  A power of two, so the cell of v is computed without
 # rounding.
 _GRID = 2048
-# Elements per block in forward, inverse and vjp.  A block's temporaries
-# (64 kB each) stay in cache and are recycled by the allocator, where
-# whole-batch temporaries are paged in afresh on every call.  The library
-# removes such allocations rather than set allocator options: glibc's trim
-# and mmap thresholds belong to the whole host process and are read only at
-# start-up, and mallopt would change every other allocation of the host
-# (and exists only on glibc).
+# Elements per block in forward, inverse and vjp, in transforms' in-place
+# differences, tpp._row_log_density, mjp._soft_counts and
+# mjp.posterior_curves.  A block's temporaries (64 kB each) stay in cache
+# and are recycled by the allocator, where whole-batch temporaries are paged
+# in afresh on every call.  The library removes such allocations rather than
+# set allocator options: glibc's trim and mmap thresholds belong to the
+# whole host process and are read only at start-up, and mallopt would change
+# every other allocation of the host (and exists only on glibc).
 _BLOCK = 8192
 
 

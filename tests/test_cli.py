@@ -234,6 +234,10 @@ def obs_2state(tmp_path_factory):
     ("vi", "mjp.pi=0.5", "config key 'mjp.pi'"),
     ("vi", "mjp.a=0.1,0.2,0.3", "config key 'mjp.a'"),
     ("vi", "mjp.lam=1,2,3", "config key 'mjp.lam'"),
+    ("vi", "vi.iters=0", "iters must be >= 1"),
+    ("vi", "vi.lr=-1", "lr must be > 0"),
+    ("vi", "vi.mc=0", "mc_samples must be >= 1"),
+    ("vi", "vi.gamma=0", "gamma must be > 0"),
     ("bench", "runs=0", "config key 'runs'"),
     ("bench", "batch=0", "config key 'batch'"),
     ("bench", "lengths=100.7", "config key 'lengths'"),

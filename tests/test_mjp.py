@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -543,7 +544,7 @@ def test_soft_counts_match_dense_sum(case, chunk, monkeypatch):
     name, gamma = SOFT_CASES[case]
     boundaries, obs = segment_cases(np.random.default_rng(4))[name]
     if chunk is not None:
-        monkeypatch.setattr(mjp, "_SOFT_CHUNK", chunk)
+        monkeypatch.setattr(mjp, "_BLOCK", chunk)
     got = mjp._soft_counts(boundaries, obs, gamma)
     want = dense_soft_counts(boundaries, obs, gamma)
     for g, w in zip(got, want):
@@ -551,6 +552,53 @@ def test_soft_counts_match_dense_sum(case, chunk, monkeypatch):
         assert np.all(np.abs(g - w) <= 1e-12 * (1.0 + np.abs(w)))
     if obs.size == 0:
         assert not np.any(got[1]) and not np.any(got[2])
+
+
+@pytest.mark.parametrize("gamma", [0.1, 1e3])
+@pytest.mark.parametrize("case", ["random", "edges_and_boundaries", "unsorted",
+                                  "no_observations", "one_segment"])
+def test_soft_counts_bits_do_not_depend_on_the_block(case, gamma, monkeypatch):
+    """A boundary's window is never split across blocks, so its sums are the
+    same bincount at any block size.  At gamma = 1e3 every window holds every
+    observation."""
+    boundaries, obs = segment_cases(np.random.default_rng(4))[case]
+    outs = []
+    for block in (5, mjp._BLOCK, 1 << 20):
+        monkeypatch.setattr(mjp, "_BLOCK", block)
+        outs.append(mjp._soft_counts(boundaries, obs, gamma))
+    for got in outs[1:]:
+        assert all(np.array_equal(g, w) for g, w in zip(got, outs[0]))
+
+
+def test_vi_step_temporaries_stay_cache_sized():
+    """At the benchmark's VI shape (512 paths of ~25 segments, 200
+    observations, K = 3) the soft counts peak at <= 2 MB of traced memory,
+    also at gamma = 1e3 where every window holds every observation (40.6 MB
+    when 2**20 window terms were evaluated at once), and one relaxed ELBO
+    with its gradients peaks at <= 12 (S, N-1, K, K) arrays (11.3 here; 14.1
+    with the whole-batch soft counts, 12.3 with them blocked but the pairwise
+    cotangent in fresh arrays)."""
+    rng = np.random.default_rng(7)
+    horizon = 50.0
+    p = mjp.MmppParams(np.array([0.52, 0.22, 0.26]), np.full((3, 3), 0.1),
+                       np.array([1.0, 5.0, 20.0]))
+    obs = np.sort(rng.uniform(0.0, horizon, 200))
+    boundaries = padded_boundaries(rng, 512, 30, horizon)
+    q = mjp._default_q(p, horizon, mjp.ViConfig())
+
+    def peak_mb(f):
+        tracemalloc.start()
+        try:
+            f()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    for gamma in (0.1, 1e3):
+        assert peak_mb(lambda: mjp._soft_counts(boundaries, obs, gamma)) <= 2.0, gamma
+    s, n = tpp.draw_paths(q, 512, 0.1, seed=3).clipped.shape
+    pairwise_mb = s * (n - 1) * 9 * 8 / 2**20
+    assert peak_mb(lambda: mjp.elbo_relaxed(q, p, obs, s, 0.1, seed=3)) <= 12 * pairwise_mb
 
 
 def test_elbo_bound_never_exceeds_grid_evidence(rng):
@@ -599,6 +647,19 @@ def test_fit_vi_modes_and_validation():
     res = mjp.fit_vi(obs, p1, 4.0, "learn", cfg)
     assert len(res.elbo_history) == 30
     assert res.params.lam[0] > 0 and abs(res.params.pi.sum() - 1.0) < 1e-10
+
+
+def test_vi_config_refuses_bad_fields():
+    """Each bad field is named; NaN is refused like any other bad value."""
+    for field, value, message in (("iters", 0, "iters must be >= 1"),
+                                  ("mc_samples", 0, "mc_samples must be >= 1"),
+                                  ("lr", -1.0, "lr must be > 0"),
+                                  ("lr", float("nan"), "lr must be > 0"),
+                                  ("gamma", 0.0, "gamma must be > 0")):
+        with pytest.raises(ValueError, match=message):
+            mjp.ViConfig(**{field: value})
+    with pytest.raises(ValueError, match="iters must be >= 1, lr must be > 0"):
+        mjp.ViConfig(iters=0, lr=0.0)
 
 
 def test_vi_seed_stability():
@@ -673,12 +734,17 @@ def test_posterior_curves_pooled_lookup_matches_row_loop(monkeypatch):
     rand[1::4, :3] = mjp.grid_times(5.0, 10)[[2, 5, 9]]     # times on grid points
     rand.sort(axis=1)
     crafted.append(rand)
+    # a block holds _BLOCK // (n_grid K) rows, at least one: all rows in one
+    # block, 2 rows (block 40), and one row (block 1, and n_grid = 4200)
+    lib_block = mjp._BLOCK
     for t_ext in crafted:
         monkeypatch.setattr(tpp, "draw_extended", lambda m, b, s, t=t_ext: (t.copy(), None))
-        for n_grid in (10, 7, 1):
+        for n_grid, block in ((10, lib_block), (7, lib_block), (1, lib_block),
+                              (10, 40), (7, 1), (4200, lib_block)):
+            monkeypatch.setattr(mjp, "_BLOCK", block)
             got = mjp.posterior_curves(q, p, obs, n_grid=n_grid, n_samples=len(t_ext))
             want = looped_posterior_curves(q, p, obs, n_grid, len(t_ext), 0)
-            assert np.array_equal(got, want), (t_ext.shape, n_grid)
+            assert np.array_equal(got, want), (t_ext.shape, n_grid, block)
 
 
 def test_rao_teh_k1_occupancy():
