@@ -47,12 +47,9 @@ class MmppParams:
     lam: np.ndarray
 
     def __post_init__(self):
-        pi = np.asarray(self.pi, dtype=np.float64)
-        A = np.asarray(self.A, dtype=np.float64)
-        lam = np.asarray(self.lam, dtype=np.float64)
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "lam", lam)
+        for name in ("pi", "A", "lam"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        pi, A, lam = self.pi, self.A, self.lam
         k = pi.size
         if A.shape != (k, k) or lam.shape != (k,):
             raise ValueError(f"inconsistent shapes: pi {pi.shape}, A {A.shape}, lam {lam.shape}")

@@ -3,7 +3,7 @@ versioned JSON checkpoints."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -51,9 +51,7 @@ class ModelKind:
             raise ValueError(f"rate_init must be > 0, got {self.rate_init}")
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "horizon": self.horizon, "n_knots": self.n_knots,
-                "block_size": self.block_size, "n_blocks": self.n_blocks,
-                "rate_init": self.rate_init}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelKind":

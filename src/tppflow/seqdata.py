@@ -152,14 +152,8 @@ def split_dataset(dataset: list[EventSequence], seed: int) -> DatasetSplit:
     perm = stream(seed, 0).permutation(n)
     n_train = int(0.6 * n)
     n_val = int(0.2 * n)
-    idx_train = perm[:n_train]
-    idx_val = perm[n_train:n_train + n_val]
-    idx_test = perm[n_train + n_val:]
-    return DatasetSplit(
-        train=[dataset[i] for i in idx_train],
-        val=[dataset[i] for i in idx_val],
-        test=[dataset[i] for i in idx_test],
-    )
+    parts = np.split(perm, [n_train, n_train + n_val])
+    return DatasetSplit(*([dataset[i] for i in idx] for idx in parts))
 
 
 def pad_batch(sequences: list[EventSequence]) -> PaddedBatch:

@@ -16,6 +16,7 @@ The zero vector is exactly the identity map.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -44,6 +45,10 @@ _GRID = 2048
 # whole host process and are read only at start-up, and mallopt would change
 # every other allocation of the host (and exists only on glibc).
 _BLOCK = 8192
+# Knots kept, one per parameter vector: a VI step touches 3, and training adds
+# 3 per step.  Each retains ~37 kB, mostly its two 2049-cell grid tables.  Keyed
+# by theta's bytes, not its id: callers edit ``params.values`` in place.
+_KNOTS_MEMO = 16
 
 
 @dataclass(frozen=True)
@@ -84,11 +89,12 @@ class Knots(NamedTuple):
     sm_w: np.ndarray
     sm_h: np.ndarray
     sig_d: np.ndarray
-    x_grid: tuple   # bin lookup tables of x and y, see _grid_table
-    y_grid: tuple
     a0: np.ndarray  # (K-1,) inverse's per-bin constants h (s - d_lo), h d_lo and -s
     b0: np.ndarray
     neg_s: np.ndarray
+    inv_w: np.ndarray  # (K-1,) 1 / w
+    x_grid: tuple   # bin lookup tables of x and y, see _grid_table
+    y_grid: tuple
 
 
 class Residuals(NamedTuple):
@@ -98,7 +104,6 @@ class Residuals(NamedTuple):
     derivatives are recomputed from them in units of the bin's slope
     (``_slope_units``).  The tail inputs are kept too, so that neither
     reads ``x``: a pass may write over the input once the record is built.
-    The knots ride along, so neither builds them again.
     """
 
     k: np.ndarray              # bin of each (clipped) input; uint8 up to 256 bins
@@ -107,7 +112,6 @@ class Residuals(NamedTuple):
     hi: np.ndarray | None      # mask of the inputs above 1, None when there are none
     x_lo: np.ndarray | None    # x[lo], in order
     x_hi: np.ndarray | None    # x[hi], in order
-    kn: Knots                  # the knots of theta
 
 
 def _clip(v, lo, hi):
@@ -140,8 +144,14 @@ def reversed_cumsum(x, out=None):
 
 
 def make_knots(spline: RqsSpline, theta: np.ndarray) -> Knots:
-    tw, th, td = spline.split_params(np.asarray(theta, dtype=np.float64))
-    m = spline.n_bins
+    """The knots of ``theta``, built once per parameter vector; every array is read-only."""
+    return _knots(spline.n_knots, np.ascontiguousarray(theta, dtype=np.float64).tobytes())
+
+
+@functools.lru_cache(maxsize=_KNOTS_MEMO)
+def _knots(n_knots: int, theta: bytes) -> Knots:
+    tw, th, td = RqsSpline(n_knots).split_params(np.frombuffer(theta))
+    m = n_knots - 1
     sm_w = softmax(tw)
     sm_h = softmax(th)
     scale = 1.0 - m * MIN_BIN
@@ -154,9 +164,12 @@ def make_knots(spline: RqsSpline, theta: np.ndarray) -> Knots:
     s = h / w
     mm = d[1:] + d[:-1] - 2.0 * s
     delta = d[:-1] / s
-    return Knots(x, y, d, w, h, s, mm, 2.0 * (s - d[:-1]), delta, delta + d[1:] / s - 2.0,
-                 2.0 * (1.0 - delta), sm_w, sm_h, sig_d, _grid_table(x), _grid_table(y),
-                 h * (s - d[:-1]), h * d[:-1], -s)
+    kn = Knots(x, y, d, w, h, s, mm, 2.0 * (s - d[:-1]), delta, delta + d[1:] / s - 2.0,
+               2.0 * (1.0 - delta), sm_w, sm_h, sig_d, h * (s - d[:-1]), h * d[:-1], -s, 1.0 / w,
+               _grid_table(x), _grid_table(y))
+    for a in (*kn[:-2], *kn.x_grid, *kn.y_grid):
+        a.flags.writeable = False
+    return kn
 
 
 def _cell(v):
@@ -315,7 +328,7 @@ def forward(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, keep: bool = Tr
     k, xi, lo, hi = rec
     return y, ld, Residuals(k, xi, lo if x_lo else None, hi if x_hi else None,
                             np.concatenate(x_lo) if x_lo else None,
-                            np.concatenate(x_hi) if x_hi else None, kn)
+                            np.concatenate(x_hi) if x_hi else None)
 
 
 def inverse_block(kn: Knots):
@@ -371,7 +384,7 @@ def vjp(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, g_y: np.ndarray, g_
     """
     if res is None:
         res = forward(spline, theta, x)[2]
-    kn = res.kn
+    kn = make_knots(spline, theta)
     g_y = np.asarray(g_y, dtype=np.float64)
     g_ld = np.asarray(g_ld, dtype=np.float64)
     m = spline.n_bins
@@ -384,8 +397,6 @@ def vjp(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, g_y: np.ndarray, g_
 
     # Inside a bin: y = y_k + h N/D and logderiv = log s + log Q - 2 log D;
     # num, den and q below are N, D and Q of ``_slope_units``
-    inv_w = 1.0 / kn.w
-
     sums = np.zeros((7, m))
 
     def block(k_small, xi, gy_in, gl_in, *masks):
@@ -411,7 +422,7 @@ def vjp(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, g_y: np.ndarray, g_
         g_eps = xi_xi * gl_q - two_u_gl_d - au * num
         for row, wt in zip(sums, (g_xi, g_xi * xi, g_dl, g_eps, gy * num * inv_den, gy, gl)):
             row += np.bincount(k, weights=wt, minlength=m)
-        g_x = g_xi * inv_w[k]
+        g_x = g_xi * kn.inv_w[k]
         for t, (_, d) in zip(masks, tails):
             g_x[t] = gy_in[t] * d
         return (g_x,)
@@ -425,7 +436,6 @@ def _theta_cotangent(kn: Knots, sums, g_d0, g_d1):
     holds per bin (and is written over) the sums of g_xi, g_xi xi, the
     partials in delta and eps, g_y N / D, g_y and g_ld."""
     sum_xi, sum_xi_xi, sum_dl, sum_eps, g_h, g_yknot, sum_ld = sums
-    inv_w = 1.0 / kn.w
 
     # delta = d_lo / s and eps = d_hi / s; at fixed delta and eps only log s moves with s
     inv_s = 1.0 / kn.s
@@ -437,9 +447,9 @@ def _theta_cotangent(kn: Knots, sums, g_d0, g_d1):
     g_d[-1] += g_d1
 
     # xi = (x - x_k) / w and s = h / w; per-bin constants leave the sums
-    g_xknot = -inv_w * sum_xi
-    g_w = -inv_w * (sum_xi_xi + kn.s * sum_s)
-    g_h += inv_w * sum_s
+    g_xknot = -kn.inv_w * sum_xi
+    g_w = -kn.inv_w * (sum_xi_xi + kn.s * sum_s)
+    g_h += kn.inv_w * sum_s
 
     # knot positions are prefix sums of widths/heights
     g_w[:-1] += reversed_cumsum(g_xknot)[1:]
@@ -465,7 +475,7 @@ def inv_jac_t(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, w: np.ndarray
     """
     if res is None:
         res = forward(spline, theta, x)[2]
-    kn = res.kn
+    kn = make_knots(spline, theta)
     tails = [(t, d) for t, d in ((res.lo, kn.d[0]), (res.hi, kn.d[-1])) if t is not None]
     sums = np.zeros((7, spline.n_bins))
 

@@ -3,6 +3,7 @@ log-density, parallel inversion sampling with clipping, sigmoid-relaxed masks
 and a differentiable entropy estimate."""
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,10 @@ MAX_EXTENDED = 1 << 20
 # Gaps drawn per row stream at a time by sequential_sample.  Streams are
 # local to the call, so drawing ahead leaves every used draw unchanged.
 _GAP_BLOCK = 64
+# First widths kept, one per model: a VI step samples 1, and training adds 1 per
+# step.  Each retains its key (8 B per parameter), the values' bytes, not their
+# id: callers edit ``params.values`` in place.
+_WIDTH_MEMO = 16
 
 
 @dataclass
@@ -151,7 +156,15 @@ def _first_width(model: TppModel) -> int:
     A row's count is roughly Poisson(c), so a row outlasts the first draw
     with probability ~1e-9; such a row costs one more round, not a result.
     """
-    c = _estimated_count(model)
+    p = model.params
+    return _pilot_width(model.spec, model.horizon, p.names, tuple(
+        (n, s.start, s.stop) for n, s in p.slices.items()), np.asarray(p.values, float).tobytes())
+
+
+@functools.lru_cache(maxsize=_WIDTH_MEMO)
+def _pilot_width(spec, horizon, names, bounds, values: bytes) -> int:
+    store = ParamStore(names, {n: slice(*b) for n, *b in bounds}, np.frombuffer(values))
+    c = _estimated_count(TppModel(spec, store, horizon))
     return min(MAX_EXTENDED, int(np.ceil(c + 6.0 * np.sqrt(c))) + 1)
 
 

@@ -43,6 +43,7 @@ never changes a result by even one bit.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -79,6 +80,11 @@ CLAMP = 1e-12          # round-off guard for inputs of psi_inv / logit
 # as one block took the inverse of the bench chain's four blocks from 5.0 to
 # 9.0 ms (2-vCPU VM).
 _ROW_BLOCK = 32768
+# Block matrices kept, one per parameter vector: a step touches one per block
+# (4 on the bench chain), and training adds that many per step.  Each retains
+# 2 kB at H = 16.  Keyed by the bytes, not the id: ``params.values`` is edited in place.
+_MATRIX_MEMO = 32
+_tril_indices = functools.lru_cache(maxsize=None)(lambda h: np.tril_indices(h, -1))
 
 
 class DomainError(ValueError):
@@ -209,11 +215,8 @@ class BlockDiag:
         return h * (h + 1) // 2
 
     def matrix(self, p) -> np.ndarray:
-        h = self.size
-        b = np.zeros((h, h))
-        b[np.diag_indices(h)] = np.exp(p[:h])
-        b[np.tril_indices(h, -1)] = p[h:]
-        return b
+        """The block of ``p``, built once per parameter vector; read-only."""
+        return _block_matrix(self.size, np.ascontiguousarray(p, dtype=np.float64).tobytes())
 
     def _by_row_blocks(self, fn, *arrays, out=None):
         """Apply ``fn`` to same-shaped ``arrays`` block by block, in row blocks.
@@ -270,7 +273,7 @@ class BlockDiag:
 
     def _param_cotangent(self, g_b, b):
         """The parameters' cotangent from that of the block's entries."""
-        return np.concatenate([np.diag(g_b) * np.diag(b), g_b[np.tril_indices(self.size, -1)]])
+        return np.concatenate([np.diag(g_b) * np.diag(b), g_b[_tril_indices(self.size)]])
 
     def vjp(self, x, p, g_y, g_ld, res=None, out=None):
         b = self.matrix(p)
@@ -298,6 +301,15 @@ class BlockDiag:
             return uc
 
         return self._by_row_blocks(block, w, x, out=out), self._param_cotangent(g_b, b)
+
+
+@functools.lru_cache(maxsize=_MATRIX_MEMO)
+def _block_matrix(h: int, p: bytes) -> np.ndarray:
+    p = np.frombuffer(p)
+    b = np.diag(np.exp(p[:h]))
+    b[_tril_indices(h)] = p[h:]
+    b.flags.writeable = False
+    return b
 
 
 @dataclass(frozen=True)

@@ -366,3 +366,27 @@ def test_spline_ops_are_total(spline10, theta10):
     assert ld[0] == pytest.approx(np.log(d0), abs=1e-12)
     x = sp.inverse(spline10, theta10, np.concatenate([[-0.1], y]))
     assert np.abs(x - [-0.1 / d0, 0.0, 0.4, 1.2]).max() < 1e-12
+
+
+def test_memoised_knots_are_read_only(spline10, theta10):
+    """Every array of the shared knots refuses writes, both grid tables included."""
+    kn = sp.make_knots(spline10, theta10)
+    arrays = [a for a in kn if isinstance(a, np.ndarray)] + [*kn.x_grid, *kn.y_grid]
+    assert len(arrays) == len(kn) + 2
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 0
+    assert sp.make_knots(spline10, theta10.copy()) is kn
+
+
+def test_knot_memo_is_keyed_by_the_knot_count(rng):
+    """Equal parameter bytes under another ``n_knots`` give other knots: here
+    a vector of 5-knot parameters, which does not fit 4 knots, raises rather
+    than coming back as the cached 5-knot constants."""
+    theta = rng.normal(0.0, 1.0, RqsSpline(5).n_params)
+    assert sp.make_knots(RqsSpline(5), theta).x.size == 5
+    with pytest.raises(ValueError):
+        sp.make_knots(RqsSpline(4), theta)
+    for n_knots in (2, 3, 4):
+        zeros = np.zeros(RqsSpline(n_knots).n_params)
+        assert sp.make_knots(RqsSpline(n_knots), zeros).x.size == n_knots

@@ -134,6 +134,20 @@ def test_bridge_domain_errors():
 # block-diagonal layers
 
 
+def test_memoised_block_matrices_are_read_only_and_keyed_by_size(rng):
+    """The shared matrix refuses writes; equal parameter bytes under another
+    block size are not served from the memo (here they do not fit, and raise)."""
+    block = tr.BlockDiag("b", 4)
+    theta = rng.normal(0.0, 0.3, block.n_params)
+    b = block.matrix(theta)
+    with pytest.raises(ValueError):
+        b[0, 0] = 0.0
+    assert tr.BlockDiag("c", 4, offset=2).matrix(theta.copy()) is b
+    with pytest.raises(ValueError):
+        tr.BlockDiag("b", 2).matrix(theta)
+    assert tr.BlockDiag("b", 2).matrix(theta[:3]).shape == (2, 2)
+
+
 def dense_block_matrix(block: tr.BlockDiag, theta, n: int, b=None) -> np.ndarray:
     """Window of the infinite block-diagonal operator, built independently
     (of ``block.matrix(theta)``, or of the H x H matrix ``b`` when given)."""
