@@ -1,8 +1,8 @@
 """Markov-modulated Poisson processes: simulation, exact likelihood terms,
 forward-backward state inference, a relaxed evidence lower bound with
 reparametrized gradients, variational fitting with a flow posterior over the
-jump times, a uniformization Gibbs sampler and a fine-grid discretization
-oracle."""
+jump times, a uniformization Gibbs sampler and the exact posterior and
+evidence by matrix exponentials, the reference both are judged against."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -32,7 +32,7 @@ __all__ = [
     "fit_vi",
     "posterior_curves",
     "rao_teh_posterior",
-    "grid_posterior",
+    "exact_posterior",
     "grid_times",
 ]
 
@@ -181,11 +181,6 @@ def _segment_potentials(obs, boundaries, params):
     phi = -deltas[:, :, None] * rate_term[None, None, :] \
         + counts[:, :, None] * np.log(params.lam)[None, None, :]
     return phi, deltas, counts
-
-
-def _lse(a, axis):
-    m = a.max(axis=axis, keepdims=True)
-    return (m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
 def _fb_forward(log_pi, log_a, phi, real, pairwise=True):
@@ -532,9 +527,9 @@ def fit_vi(obs: np.ndarray, params: MmppParams, horizon: float, mode: str = "pos
            config: ViConfig = ViConfig(), q_model: TppModel | None = None) -> ViResult:
     """Stochastic gradient ascent on the relaxed bound.
 
-    ``mode="posterior"`` learns only the jump-time posterior; ``mode="learn"``
-    also updates the model parameters through unconstrained coordinates
-    (softmax for pi, log for the rates).
+    ``mode="posterior"`` learns only the jump-time posterior and returns
+    ``params`` itself; ``mode="learn"`` also updates the model parameters
+    through unconstrained coordinates (softmax for pi, log for the rates).
     """
     from .train import AdamState, adam_step
 
@@ -542,14 +537,14 @@ def fit_vi(obs: np.ndarray, params: MmppParams, horizon: float, mode: str = "pos
         raise ValueError(f"mode must be 'posterior' or 'learn', got {mode!r}")
     q = (q_model or _default_q(params, horizon, config)).copy()
     k = params.n_states
-    u_pi = np.log(params.pi + 1e-12)
+    u_pi = np.log(params.pi)
     u_a = np.log(params.A)
     u_lam = np.log(params.lam)
     st_q = AdamState.zeros(q.params.size)
     st_t = AdamState.zeros(k + k * k + k)
     history = []
+    cur = params
     for it in range(config.iters):
-        cur = MmppParams(softmax(u_pi), np.exp(u_a), np.exp(u_lam))
         est = elbo_relaxed(q, cur, obs, config.mc_samples, config.gamma,
                            seed=config.seed * 1_000_003 + it)
         if not np.isfinite(est.value) or not np.all(np.isfinite(est.grad_q)):
@@ -565,8 +560,8 @@ def fit_vi(obs: np.ndarray, params: MmppParams, horizon: float, mode: str = "pos
             gflat = -np.concatenate([g_upi, g_ua.ravel(), g_ulam])
             flat, st_t = adam_step(flat, gflat, st_t, config.lr)
             u_pi, u_a, u_lam = flat[:k], flat[k:k + k * k].reshape(k, k), flat[k + k * k:]
-    final = MmppParams(softmax(u_pi), np.exp(u_a), np.exp(u_lam))
-    return ViResult(q, final, history)
+            cur = MmppParams(softmax(u_pi), np.exp(u_a), np.exp(u_lam))
+    return ViResult(q, cur, history)
 
 
 def grid_times(horizon: float, n_grid: int) -> np.ndarray:
@@ -619,13 +614,15 @@ def posterior_curves(q_model: TppModel, params: MmppParams, obs: np.ndarray,
 
 def rao_teh_posterior(obs: np.ndarray, params: MmppParams, horizon: float,
                       n_samples: int = 1000, burn_in: int = 100, seed: int = 0,
-                      n_grid: int = 200, omega: float | None = None) -> np.ndarray:
-    """Posterior state occupancy by uniformization Gibbs sampling.
+                      n_grid: int = 200) -> np.ndarray:
+    """Posterior state occupancy by uniformization Gibbs sampling (Rao & Teh
+    2013) at rate omega = 2 max_k total_rates.
 
     Alternates (i) resampling virtual jump candidates at the thinned rate
     given the current trajectory with (ii) an exact forward-filter
-    backward-sample over the candidate grid.  Returns occupancy curves
-    averaged over the retained trajectories.
+    backward-sample over the candidate grid, scaled in probability space as
+    in ``_fb_forward``.  Returns occupancy curves at ``grid_times(horizon,
+    n_grid)`` averaged over the retained trajectories.
     """
     obs = _checked_obs(obs, horizon)
     if n_samples < 1:
@@ -635,11 +632,8 @@ def rao_teh_posterior(obs: np.ndarray, params: MmppParams, horizon: float,
     k = params.n_states
     totals = params.total_rates
     leave = totals - np.diag(params.A)
-    if omega is None:
-        omega = 2.0 * float(totals.max())
-    if omega <= float(totals.max()):
-        raise ValueError(f"uniformization rate {omega} must exceed max total rate "
-                         f"{float(totals.max())}")
+    omega = 2.0 * float(totals.max())
+    # every entry is > 0: the diagonal keeps at least 1 - totals / omega >= 1/2
     b_mat = params.A / omega
     np.fill_diagonal(b_mat, np.diag(params.A) / omega + 1.0 - totals / omega)
     rng = stream(seed, 5)
@@ -663,24 +657,21 @@ def rao_teh_posterior(obs: np.ndarray, params: MmppParams, horizon: float,
         deltas = np.diff(seg_bounds)
         seg = np.clip(np.searchsorted(w, obs, side="right"), 0, deltas.size - 1)
         counts = np.bincount(seg, minlength=deltas.size)
-        log_e = -deltas[:, None] * params.lam[None, :] \
+        e = -deltas[:, None] * params.lam[None, :] \
             + counts[:, None] * np.log(params.lam)[None, :]
+        e -= e.max(axis=1, keepdims=True)
+        np.exp(e, out=e)
         m = deltas.size
         fwd = np.empty((m, k))
-        a = np.log(params.pi) + log_e[0]
-        a -= a.max()
-        fwd[0] = a
-        log_b = np.log(b_mat)
+        a = params.pi * e[0]
+        fwd[0] = a / a.sum()
         for i in range(1, m):
-            a = _lse(fwd[i - 1][:, None] + log_b, axis=0) + log_e[i]
-            a -= a.max()
-            fwd[i] = a
+            a = (fwd[i - 1] @ b_mat) * e[i]
+            fwd[i] = a / a.sum()
         states = np.empty(m, dtype=np.int64)
-        p = np.exp(fwd[m - 1] - _lse(fwd[m - 1], axis=0))
-        states[m - 1] = rng.choice(k, p=p / p.sum())
+        states[m - 1] = rng.choice(k, p=fwd[m - 1])
         for i in range(m - 2, -1, -1):
-            lw = fwd[i] + log_b[:, states[i + 1]]
-            p = np.exp(lw - lw.max())
+            p = fwd[i] * b_mat[:, states[i + 1]]
             states[i] = rng.choice(k, p=p / p.sum())
         changed = np.nonzero(states[1:] != states[:-1])[0]
         traj = Trajectory(w[changed], np.concatenate([[states[0]], states[changed + 1]]),
@@ -692,45 +683,42 @@ def rao_teh_posterior(obs: np.ndarray, params: MmppParams, horizon: float,
 
 
 # ---------------------------------------------------------------------------
-# fine-grid discretization oracle
+# exact reference
 
 
-def grid_posterior(params: MmppParams, obs: np.ndarray, horizon: float, n_cells: int = 2000):
-    """Exact-in-the-limit HMM on a uniform time grid.
+def exact_posterior(obs: np.ndarray, params: MmppParams, horizon: float,
+                    n_grid: int = 200):
+    """Exact state occupancy at ``grid_times(horizon, n_grid)`` and exact log
+    evidence log p(obs) (Fischer & Meier-Hellstern, *The MMPP cookbook*, 1993).
 
-    The latent chain is discretized with the true matrix exponential of the
-    effective generator; within-cell state changes are the only approximation.
-    Returns (occupancy curves at the cell centers, log evidence).
+    The observation times, the grid times and the horizon, merged and sorted,
+    cut [0, horizon] into intervals.  Over one of length d the state moves by
+    expm((Q - diag(lam)) d) with Q = A - diag(total_rates), in which
+    self-jumps cancel, and an observation multiplies by diag(lam).  A scaled
+    forward pass divides step j by c_j, so log Z = sum_j log c_j; the
+    backward pass mirrors it with the same c_j, and the marginal at a point
+    is the product of the two.  Returns (occupancy (n_grid, K), log Z).
     """
-    if n_cells < 1:
-        raise ValueError(f"n_cells must be >= 1, got {n_cells}")
     obs = _checked_obs(obs, horizon)
-    k = params.n_states
-    dt = horizon / n_cells
-    q_gen = params.A.copy()
-    np.fill_diagonal(q_gen, 0.0)
-    np.fill_diagonal(q_gen, -q_gen.sum(axis=1))
-    log_p = np.log(expm(q_gen * dt))
-    cell = np.clip((obs / dt).astype(np.int64), 0, n_cells - 1)
-    counts = np.bincount(cell, minlength=n_cells)
-    log_e = -params.lam[None, :] * dt + counts[:, None] * np.log(params.lam)[None, :]
-
-    alpha = np.empty((n_cells, k))
-    norms = np.empty(n_cells)
-    a = np.log(params.pi) + log_e[0]
-    norms[0] = a.max()
-    alpha[0] = a - norms[0]
-    for i in range(1, n_cells):
-        a = _lse(alpha[i - 1][:, None] + log_p, axis=0) + log_e[i]
-        norms[i] = a.max()
-        alpha[i] = a - norms[i]
-    log_z = float(_lse(alpha[-1], axis=0) + norms.sum())
-    beta = np.zeros((n_cells, k))
-    for i in range(n_cells - 2, -1, -1):
-        b = _lse(log_p + (log_e[i + 1] + beta[i + 1])[None, :], axis=1)
-        beta[i] = b - b.max()
-    lm = alpha + beta
-    lm -= lm.max(axis=1, keepdims=True)
-    mu = np.exp(lm)
-    mu /= mu.sum(axis=1, keepdims=True)
-    return mu, log_z
+    grid = grid_times(horizon, n_grid)
+    times = np.concatenate([obs, grid, [horizon]])
+    order = np.argsort(times, kind="stable")
+    weight = np.ones((times.size, params.n_states))
+    weight[:obs.size] = params.lam
+    weight = weight[order]
+    gen = params.A - np.diag(params.total_rates + params.lam)
+    step = expm(np.diff(times[order], prepend=0.0)[:, None, None] * gen)
+    mu = np.empty_like(weight)
+    c = np.empty(times.size)
+    a = params.pi
+    for j in range(times.size):
+        a = (a @ step[j]) * weight[j]
+        c[j] = a.sum()
+        a = mu[j] = a / c[j]
+    b = 1.0
+    for j in range(times.size - 1, -1, -1):
+        mu[j] *= b
+        b = step[j] @ (weight[j] * b) / c[j]
+    rank = np.empty(times.size, dtype=np.int64)
+    rank[order] = np.arange(times.size)
+    return mu[rank[obs.size:obs.size + n_grid]], float(np.log(c).sum())

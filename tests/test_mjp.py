@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
+from scipy.special import logsumexp
 
 from tppflow import mjp, tpp
 from tppflow import transforms as tr
@@ -170,14 +172,14 @@ def test_observations_are_validated():
         with pytest.raises(ValueError, match="observations"):
             mjp.rao_teh_posterior(bad, p, 5.0, n_samples=2, burn_in=0, n_grid=10)
         with pytest.raises(ValueError, match="observations"):
-            mjp.grid_posterior(p, bad, 5.0, n_cells=10)
+            mjp.exact_posterior(bad, p, 5.0, n_grid=10)
     edges = np.array([0.0, 2.5, 5.0])
     _, lz = mjp.forward_backward(edges, np.array([2.0]), p, 5.0)
     assert np.isfinite(lz)
     assert np.isfinite(mjp.elbo_relaxed(q, p, edges, 4, gamma=0.1, want_grads=False).value)
     assert np.isfinite(mjp.rao_teh_posterior(edges, p, 5.0, n_samples=2, burn_in=0,
                                              n_grid=10)).all()
-    assert np.isfinite(mjp.grid_posterior(p, edges, 5.0, n_cells=10)[1])
+    assert np.isfinite(mjp.exact_posterior(edges, p, 5.0, n_grid=10)[1])
 
 
 @pytest.mark.parametrize("call, kwargs, name", [
@@ -186,14 +188,14 @@ def test_observations_are_validated():
     ("rao_teh_posterior", {"n_samples": 0}, "n_samples"),
     ("rao_teh_posterior", {"burn_in": -1}, "burn_in"),
     ("rao_teh_posterior", {"n_grid": 0}, "n_grid"),
-    ("grid_posterior", {"n_cells": 0}, "n_cells"),
+    ("exact_posterior", {"n_grid": 0}, "n_grid"),
 ])
 def test_occupancy_arguments_are_validated(call, kwargs, name):
     """Each bad argument raises a ValueError that names it, before any sampling."""
     p = two_state_params()
     obs = np.array([1.0, 2.0])
     args = {"posterior_curves": (_small_q(5.0), p, obs), "rao_teh_posterior": (obs, p, 5.0),
-            "grid_posterior": (p, obs, 5.0)}[call]
+            "exact_posterior": (obs, p, 5.0)}[call]
     with pytest.raises(ValueError, match=name):
         getattr(mjp, call)(*args, **kwargs)
 
@@ -206,14 +208,14 @@ def logspace_fb_forward(log_pi, log_a, phi, real):
     beta = np.empty((s, n, k))
     alpha[:, 0] = log_pi[None, :] + phi[:, 0]
     for i in range(1, n):
-        prop = mjp._lse(alpha[:, i - 1, :, None] + log_a[None, :, :], axis=1)
+        prop = logsumexp(alpha[:, i - 1, :, None] + log_a[None, :, :], axis=1)
         keep = real[:, i - 1][:, None]
         alpha[:, i] = np.where(keep, prop, alpha[:, i - 1]) + phi[:, i]
-    log_z = mjp._lse(alpha[:, n - 1], axis=1)
+    log_z = logsumexp(alpha[:, n - 1], axis=1)
     beta[:, n - 1] = 0.0
     for i in range(n - 2, -1, -1):
         c = phi[:, i + 1] + beta[:, i + 1]
-        prop = mjp._lse(log_a[None, :, :] + c[:, None, :], axis=2)
+        prop = logsumexp(log_a[None, :, :] + c[:, None, :], axis=2)
         keep = real[:, i][:, None]
         beta[:, i] = np.where(keep, prop, c)
     mu = np.exp(alpha + beta - log_z[:, None, None])
@@ -601,11 +603,11 @@ def test_vi_step_temporaries_stay_cache_sized():
     assert peak_mb(lambda: mjp.elbo_relaxed(q, p, obs, s, 0.1, seed=3)) <= 12 * pairwise_mb
 
 
-def test_elbo_bound_never_exceeds_grid_evidence(rng):
+def test_elbo_bound_never_exceeds_exact_evidence(rng):
     p = two_state_params()
     horizon = 8.0
     _, obs = mjp.simulate_mmpp(p, horizon, seed=21)
-    _, lz = mjp.grid_posterior(p, obs, horizon, n_cells=3000)
+    _, lz = mjp.exact_posterior(obs, p, horizon)
     for s in range(12):
         q = _small_q(horizon, seed=s, noise=0.4, rate=float(rng.uniform(0.3, 1.5)))
         est = mjp.elbo_relaxed(q, p, obs, 128, gamma=0.1, seed=s, hard=True,
@@ -647,6 +649,26 @@ def test_fit_vi_modes_and_validation():
     res = mjp.fit_vi(obs, p1, 4.0, "learn", cfg)
     assert len(res.elbo_history) == 30
     assert res.params.lam[0] > 0 and abs(res.params.pi.sum() - 1.0) < 1e-10
+
+
+def test_fit_vi_posterior_mode_keeps_the_model_parameters(monkeypatch):
+    """Posterior mode evaluates every bound at the given parameters and
+    returns them, bit for bit."""
+    p = mjp.MmppParams(np.array([0.52, 0.22, 0.26]), np.full((3, 3), 0.1),
+                       np.array([1.0, 5.0, 20.0]))
+    _, obs = mjp.simulate_mmpp(p, 10.0, seed=4)
+    seen = []
+    elbo = mjp.elbo_relaxed
+
+    def recording(q, params, *args, **kwargs):
+        seen.append(params)
+        return elbo(q, params, *args, **kwargs)
+
+    monkeypatch.setattr(mjp, "elbo_relaxed", recording)
+    res = mjp.fit_vi(obs, p, 10.0, "posterior", mjp.ViConfig(iters=3, mc_samples=8))
+    assert len(seen) == 3 and all(params is p for params in seen)
+    for name in ("pi", "A", "lam"):
+        assert np.array_equal(getattr(res.params, name), getattr(p, name)), name
 
 
 def test_vi_config_refuses_bad_fields():
@@ -754,19 +776,52 @@ def test_rao_teh_k1_occupancy():
     assert np.allclose(occ, 1.0)
 
 
-def test_rao_teh_matches_grid_inference():
+def test_rao_teh_matches_exact_inference():
     p = two_state_params()
     horizon = 10.0
     _, obs = mjp.simulate_mmpp(p, horizon, seed=42)
     occ = mjp.rao_teh_posterior(obs, p, horizon, n_samples=1500, burn_in=150,
                                 seed=1, n_grid=100)
-    curves, _ = mjp.grid_posterior(p, obs, horizon, n_cells=3000)
-    idx = np.clip((mjp.grid_times(horizon, 100) / (horizon / 3000)).astype(int), 0, 2999)
-    assert np.abs(occ - curves[idx]).max() < 0.05
+    curves, _ = mjp.exact_posterior(obs, p, horizon, n_grid=100)
+    assert np.abs(occ - curves).max() < 0.05
 
 
-def test_rao_teh_omega_validation():
+def test_exact_posterior_one_state_closed_form():
+    """One state: log Z = n log lam - lam T, and the occupancy is all 1."""
+    p1 = mjp.MmppParams(np.array([1.0]), np.array([[0.5]]), np.array([3.0]))
+    obs = np.array([0.0, 0.7, 2.5])
+    occ, lz = mjp.exact_posterior(obs, p1, 5.0, n_grid=25)
+    assert occ.shape == (25, 1) and np.abs(occ - 1.0).max() <= 1e-12
+    assert lz == pytest.approx(3 * np.log(3.0) - 3.0 * 5.0, abs=1e-12)
+
+
+def test_exact_posterior_with_uninformative_observations():
+    """Equal observation rates carry no information about the state: the
+    occupancy at grid time g is pi expm(Q g) with Q = A - diag(row sums of A),
+    in which the self-jumps cancel, and log Z is the one-state value."""
+    pi = np.array([0.6, 0.3, 0.1])
+    a = np.array([[0.9, 0.2, 0.1], [0.05, 0.3, 0.4], [0.3, 0.6, 0.2]])
+    p = mjp.MmppParams(pi, a, np.full(3, 2.0))
+    horizon = 6.0
+    obs = np.random.default_rng(3).uniform(0, horizon, 11)
+    occ, lz = mjp.exact_posterior(obs, p, horizon, n_grid=9)
+    q = a - np.diag(a.sum(axis=1))
+    want = np.stack([pi @ expm(q * g) for g in mjp.grid_times(horizon, 9)])
+    assert np.abs(occ - want).max() <= 1e-12
+    assert lz == pytest.approx(11 * np.log(2.0) - 2.0 * horizon, abs=1e-12)
+
+
+def test_exact_evidence_does_not_depend_on_the_grid():
+    """log Z agrees across grids to 1e-10, with observations at 0, at the
+    horizon and on a grid time (3.5 for 1 and 7 points); every occupancy row
+    sums to 1."""
     p = two_state_params()
-    with pytest.raises(ValueError):
-        mjp.rao_teh_posterior(np.zeros(0), p, 5.0, n_samples=5, burn_in=1, seed=0,
-                              omega=0.1)
+    horizon = 7.0
+    _, obs = mjp.simulate_mmpp(p, horizon, seed=8)
+    obs = np.concatenate([obs, [0.0, horizon, 3.5]])
+    values = []
+    for n_grid in (1, 7, 200):
+        occ, lz = mjp.exact_posterior(obs, p, horizon, n_grid=n_grid)
+        assert occ.shape == (n_grid, 2) and np.abs(occ.sum(axis=1) - 1.0).max() <= 1e-12
+        values.append(lz)
+    assert np.ptp(values) <= 1e-10
