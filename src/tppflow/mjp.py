@@ -697,7 +697,10 @@ def exact_posterior(obs: np.ndarray, params: MmppParams, horizon: float,
     self-jumps cancel, and an observation multiplies by diag(lam).  A scaled
     forward pass divides step j by c_j, so log Z = sum_j log c_j; the
     backward pass mirrors it with the same c_j, and the marginal at a point
-    is the product of the two.  Returns (occupancy (n_grid, K), log Z).
+    is the product of the two.  The generator is shifted by its spectral
+    abscissa s (Q - diag(lam) is Metzler, so s is its real Perron root),
+    which keeps a long step from underflowing to 0, and log Z gets s horizon
+    back.  Returns (occupancy (n_grid, K), log Z).
     """
     obs = _checked_obs(obs, horizon)
     grid = grid_times(horizon, n_grid)
@@ -707,7 +710,9 @@ def exact_posterior(obs: np.ndarray, params: MmppParams, horizon: float,
     weight[:obs.size] = params.lam
     weight = weight[order]
     gen = params.A - np.diag(params.total_rates + params.lam)
-    step = expm(np.diff(times[order], prepend=0.0)[:, None, None] * gen)
+    shift = float(np.linalg.eigvals(gen).real.max())
+    step = expm(np.diff(times[order], prepend=0.0)[:, None, None]
+                * (gen - shift * np.eye(params.n_states)))
     mu = np.empty_like(weight)
     c = np.empty(times.size)
     a = params.pi
@@ -721,4 +726,4 @@ def exact_posterior(obs: np.ndarray, params: MmppParams, horizon: float,
         b = step[j] @ (weight[j] * b) / c[j]
     rank = np.empty(times.size, dtype=np.int64)
     rank[order] = np.arange(times.size)
-    return mu[rank[obs.size:obs.size + n_grid]], float(np.log(c).sum())
+    return mu[rank[obs.size:obs.size + n_grid]], float(np.log(c).sum()) + shift * horizon

@@ -355,8 +355,8 @@ class FixedScale:
     name = None
 
     def __post_init__(self):
-        if self.value <= 0:
-            raise ValueError(f"scale must be > 0, got {self.value}")
+        if not 0 < self.value < np.inf:
+            raise ValueError(f"scale must be finite and > 0, got {self.value}")
 
     def forward(self, x, p, keep=True, out=None):
         ld = np.broadcast_to(np.log(self.value), x.shape)
@@ -623,10 +623,13 @@ class TransformSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "TransformSpec":
         layers = []
-        for rec in d["layers"]:
-            layer_cls = _LAYER_CLASSES.get(rec["kind"])
+        for i, rec in enumerate(d["layers"]):
+            layer_cls = _LAYER_CLASSES.get(rec.get("kind"))
             if layer_cls is None:
-                raise ValueError(f"unknown layer kind {rec['kind']!r}")
+                raise ValueError(f"layer {i}: unknown layer kind {rec.get('kind')!r}")
+            missing = [_field_key(f) for f in fields(layer_cls) if _field_key(f) not in rec]
+            if missing:
+                raise ValueError(f"layer {i} ({rec['kind']}) has no field {missing[0]!r}")
             layers.append(layer_cls(**{f.name: rec[_field_key(f)] for f in fields(layer_cls)}))
         return cls(tuple(layers))
 

@@ -1,6 +1,9 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+from tppflow import splines as sp
 from tppflow import transforms as tr
 from tppflow.models import KINDS, ModelKind, build_model
 from tppflow.seqdata import EventSequence, PaddedBatch, pad_batch
@@ -74,3 +77,56 @@ def rng():
 
 
 ALL_KINDS = KINDS
+
+
+@dataclass(frozen=True)
+class LayerCase:
+    """A row of ``LAYER_CASES``: a layer and where ``tests/test_layers.py`` probes it.
+
+    Parameters are drawn from N(0, ``scale``) and inputs from [``lo``, ``hi``],
+    where the layer is smooth; ``probes(p)`` (knots, say, where the derivative
+    may jump) are written over the first inputs and ``limits`` (where the
+    forward clamps or saturates, so no round trip) over the last.  A
+    ``linear`` layer's Jacobian is built exactly from unit vectors, another's
+    by differences.  ``shape`` crosses evaluation blocks, or row blocks at
+    ``transforms._ROW_BLOCK = 64``.  ``column_rel`` bounds ``column_inverse``
+    against ``inverse``, 0 for bit for bit."""
+
+    layer: object
+    lo: float = -2.0
+    hi: float = 2.0
+    scale: float = 0.5
+    linear: bool = False
+    probes: object = lambda p: np.empty(0)
+    limits: tuple = ()
+    shape: tuple = (3, sp._BLOCK + 5)
+    column_rel: float = 0.0
+
+
+def _spline_case(n_knots, scale=1.0):
+    layer = tr.Spline("g", n_knots)
+    return LayerCase(layer, -0.3, 1.3, scale,
+                     probes=lambda p: np.r_[sp.make_knots(layer.rqs, p).x, -2.0, 40.0])
+
+
+def _block_case(size, offset=0):
+    return LayerCase(tr.BlockDiag("b", size, offset), linear=True, shape=(7, 23), column_rel=1e-14)
+
+
+_UNIT_LIMITS = (0.0, tr.CLAMP / 2, 1.0 - tr.CLAMP / 2, 1.0)
+# Scale 3 pushes knot derivatives far from the bins' slopes.  With 10 or 20
+# knots there, differences in p do not resolve the gradient: the
+# log-derivative at x = 1 reads the last knot, which moves with p by rounding
+# through a derivative in xi of order 1e3.  So scale 3 has 3 knots only.
+LAYER_CASES = {
+    "spline2": _spline_case(2), "spline3": _spline_case(3), "spline": _spline_case(10),
+    "spline20": _spline_case(20), "spline3_scale3": _spline_case(3, 3.0),
+    "block0": _block_case(6), "block3": _block_case(6, 3), "block2": _block_case(2),
+    "scale": LayerCase(tr.Scale("rate"), linear=True),
+    "fixed_scale": LayerCase(tr.FixedScale(0.1), linear=True),
+    "cumsum": LayerCase(tr.Cumsum(), linear=True), "diff": LayerCase(tr.Diff(), linear=True),
+    "psi": LayerCase(tr.Bridge("psi"), 0.1, 5.0, limits=(0.0, 1e-300, 1e-12, 40.0, 800.0)),
+    "psi_inv": LayerCase(tr.Bridge("psi_inv"), 0.01, 0.99, limits=_UNIT_LIMITS),
+    "sigmoid": LayerCase(tr.Bridge("sigmoid"), -5.0, 5.0, limits=(-800.0, -40.0, 40.0, 800.0)),
+    "logit": LayerCase(tr.Bridge("logit"), 0.01, 0.99, limits=_UNIT_LIMITS),
+}

@@ -787,28 +787,31 @@ def test_rao_teh_matches_exact_inference():
 
 
 def test_exact_posterior_one_state_closed_form():
-    """One state: log Z = n log lam - lam T, and the occupancy is all 1."""
+    """One state: log Z = n log lam - lam T, and the occupancy is all 1, also
+    over steps long enough that exp(-lam d) underflows."""
     p1 = mjp.MmppParams(np.array([1.0]), np.array([[0.5]]), np.array([3.0]))
     obs = np.array([0.0, 0.7, 2.5])
-    occ, lz = mjp.exact_posterior(obs, p1, 5.0, n_grid=25)
-    assert occ.shape == (25, 1) and np.abs(occ - 1.0).max() <= 1e-12
-    assert lz == pytest.approx(3 * np.log(3.0) - 3.0 * 5.0, abs=1e-12)
+    for horizon, n_grid, rel in ((5.0, 25, 0.0), (1400.0, 1, 1e-12)):
+        occ, lz = mjp.exact_posterior(obs, p1, horizon, n_grid=n_grid)
+        assert occ.shape == (n_grid, 1) and np.abs(occ - 1.0).max() <= 1e-12
+        assert lz == pytest.approx(3 * np.log(3.0) - 3.0 * horizon, rel=rel, abs=1e-12)
 
 
 def test_exact_posterior_with_uninformative_observations():
     """Equal observation rates carry no information about the state: the
     occupancy at grid time g is pi expm(Q g) with Q = A - diag(row sums of A),
-    in which the self-jumps cancel, and log Z is the one-state value."""
+    in which the self-jumps cancel, and log Z is the one-state value, also
+    over steps long enough that exp(-2 d) underflows."""
     pi = np.array([0.6, 0.3, 0.1])
     a = np.array([[0.9, 0.2, 0.1], [0.05, 0.3, 0.4], [0.3, 0.6, 0.2]])
     p = mjp.MmppParams(pi, a, np.full(3, 2.0))
-    horizon = 6.0
-    obs = np.random.default_rng(3).uniform(0, horizon, 11)
-    occ, lz = mjp.exact_posterior(obs, p, horizon, n_grid=9)
     q = a - np.diag(a.sum(axis=1))
-    want = np.stack([pi @ expm(q * g) for g in mjp.grid_times(horizon, 9)])
-    assert np.abs(occ - want).max() <= 1e-12
-    assert lz == pytest.approx(11 * np.log(2.0) - 2.0 * horizon, abs=1e-12)
+    for horizon, n_grid, rel in ((6.0, 9, 0.0), (2e4, 1, 1e-12)):
+        obs = np.random.default_rng(3).uniform(0, horizon, 11)
+        occ, lz = mjp.exact_posterior(obs, p, horizon, n_grid=n_grid)
+        want = np.stack([pi @ expm(q * g) for g in mjp.grid_times(horizon, n_grid)])
+        assert np.abs(occ - want).max() <= 1e-12
+        assert lz == pytest.approx(11 * np.log(2.0) - 2.0 * horizon, rel=rel, abs=1e-12)
 
 
 def test_exact_evidence_does_not_depend_on_the_grid():

@@ -92,3 +92,11 @@ def test_transform_spec_unknown_layer_kind():
     with pytest.raises(ValueError, match="unknown layer kind"):
         tr.TransformSpec.from_dict({"layers": [{"kind": "rnn"}]})
 
+
+def test_transform_spec_names_a_layer_with_a_missing_field():
+    layers = [{"kind": "scale", "name": "rate"}, {"kind": "spline", "name": "g"}]
+    with pytest.raises(ValueError, match=r"layer 1 \(spline\) has no field 'n_knots'"):
+        tr.TransformSpec.from_dict({"layers": layers})
+    with pytest.raises(ValueError, match="layer 1: unknown layer kind None"):
+        tr.TransformSpec.from_dict({"layers": [layers[0], {"name": "g"}]})
+

@@ -5,7 +5,6 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import ALL_KINDS, make_model, random_batch
-from tppflow import splines as sp
 from tppflow import transforms as tr
 from tppflow.tpp import _append_horizon, log_prob_grad
 
@@ -51,21 +50,6 @@ def test_pairwise_diff_examples(rng):
     assert np.all(tr.pairwise_diff(inc) > 0)
 
 
-def test_cumsum_diff_transposed_operators_match_dense(rng):
-    n = 7
-    ones = np.tril(np.ones((n, n)))            # Jacobian of Cumsum
-    diff = np.linalg.inv(ones)                 # Jacobian of Diff
-    g = rng.normal(0, 1, (3, n))
-    x = rng.normal(0, 1, (3, n))
-    for layer, jac in ((tr.Cumsum(), ones), (tr.Diff(), diff)):
-        g_x, g_p = layer.vjp(x, None, g, np.zeros_like(g))
-        assert g_p is None
-        assert np.abs(g_x - g @ jac).max() < 1e-12
-        u, g_p = layer.inv_jac_t(x, None, g)
-        assert g_p is None
-        assert np.abs(u - g @ np.linalg.inv(jac)).max() < 1e-12
-
-
 # ---------------------------------------------------------------------------
 # bridges
 
@@ -92,31 +76,6 @@ def test_sigmoid_log_derivative_matches_direct_form(rng):
     assert np.abs(ld[np.abs(x) == 700.0] + 700.0).max() < 1e-12
 
 
-def test_bridge_inverse_pairs(rng):
-    """Each bridge inverts its forward over several evaluation blocks, and
-    gives the same bits written over its input as into a fresh array, also
-    at and past the clamped edges of its domain."""
-    n = 3 * sp._BLOCK + 4          # with five edge values, three rows of 8195
-    unit_edges = [0.0, tr.CLAMP / 2, 0.5, 1.0 - tr.CLAMP / 2, 1.0]
-    edges = {"psi": [0.0, 1e-300, 1e-12, 40.0, 800.0], "psi_inv": unit_edges,
-             "sigmoid": [-800.0, -40.0, 0.0, 40.0, 800.0], "logit": unit_edges}
-    for kind in ("psi", "psi_inv", "sigmoid", "logit"):
-        layer = tr.Bridge(kind)
-        x = rng.uniform(0.05, 0.95, n) if kind in ("psi_inv", "logit") \
-            else (rng.uniform(0.1, 5, n) if kind == "psi" else rng.normal(0, 2, n))
-        y, _, _ = layer.forward(x, None)
-        assert np.abs(layer.inverse(y, None) - x).max() < 1e-12
-        x = np.concatenate([x, edges[kind]]).reshape(3, -1)
-        y, ld, _ = layer.forward(x, None)
-        for keep in (True, False):
-            own = x.copy()
-            y_own, ld_own, _ = layer.forward(own, None, keep=keep, out=own)
-            assert y_own is own and np.array_equal(own, y) and np.array_equal(ld_own, ld), kind
-        own = y.copy()
-        assert layer.inverse(own, None, out=own) is own
-        assert np.array_equal(own, layer.inverse(y, None)), kind
-
-
 def test_bridge_domain_errors():
     with pytest.raises(tr.DomainError, match="psi"):
         tr.Bridge("psi").forward(np.array([-0.5]), None)
@@ -124,10 +83,6 @@ def test_bridge_domain_errors():
         tr.Bridge("psi_inv").forward(np.array([1.5]), None)
     with pytest.raises(tr.DomainError, match="logit"):
         tr.Bridge("logit").forward(np.array([-0.2]), None)
-    with pytest.raises(ValueError):
-        tr.FixedScale(-1.0)
-    with pytest.raises(ValueError):
-        tr.Bridge("nope")
 
 
 # ---------------------------------------------------------------------------
@@ -199,14 +154,6 @@ def test_block_window_consistency(rng):
     assert np.array_equal(y_big[:, :9], y_small)
 
 
-def test_block_round_trip(rng):
-    blk = tr.BlockDiag("b", 4, 0)
-    theta = rng.normal(0, 0.5, blk.n_params)
-    x = rng.normal(0, 1, (2, 8))
-    y, _, _ = blk.forward(x, theta)
-    assert np.abs(blk.inverse(y, theta) - x).max() < 1e-10
-
-
 @pytest.mark.parametrize("offset", [0, 3])
 def test_block_row_blocks_match_dense(rng, monkeypatch, offset):
     # two rows per row block: 7 rows of width 23 span four blocks, the last ragged
@@ -273,63 +220,6 @@ def test_block_rows_bitwise_alone_batched_and_padded(rng, monkeypatch, row_block
         assert np.abs(g_p_wide - g_p).max() < 1e-12
 
 
-_IJT_LAYERS = {"spline": tr.Spline("g", 10), "block0": tr.BlockDiag("b", 6, 0),
-               "block3": tr.BlockDiag("b", 6, 3), "scale": tr.Scale("rate"),
-               "fixed_scale": tr.FixedScale(0.1), "cumsum": tr.Cumsum(), "diff": tr.Diff(),
-               **{k: tr.Bridge(k) for k in ("psi", "psi_inv", "sigmoid", "logit")}}
-
-
-@pytest.mark.parametrize("name", list(_IJT_LAYERS))
-def test_inv_jac_t_gives_the_vjp_parameter_cotangent(rng, monkeypatch, name):
-    """``inv_jac_t`` returns u = J^-T w and the parameter part of ``vjp`` at
-    g_y = u, g_ld = 0, within 1e-12 relative (``None`` for a layer without
-    parameters): over a spline's bins and both tails, on several evaluation
-    blocks, and over BlockDiag row blocks.  ``vjp`` at u gives w back, and
-    written over w (``out=w``) ``inv_jac_t`` gives the bits of a fresh output."""
-    monkeypatch.setattr(tr, "_ROW_BLOCK", 64)
-    layer = _IJT_LAYERS[name]
-    spline = isinstance(layer, tr.Spline)
-    shape = (3, sp._BLOCK + 5) if spline else (7, 23)
-    x = rng.uniform(-0.2, 1.2, shape) if spline else rng.uniform(0.01, 0.99, shape)
-    w = rng.normal(0, 1, shape)
-    p = rng.normal(0, 0.5, layer.n_params) if layer.n_params else None
-    _, _, res = layer.forward(x, p)
-    u, g_p = layer.inv_jac_t(x, p, w, res)
-    g_x, g_p_vjp = layer.vjp(x, p, u, np.zeros(shape), res)
-    assert np.abs(g_x - w).max() < 1e-12 * np.abs(w).max()
-    if p is None:
-        assert g_p is None and g_p_vjp is None
-    else:
-        assert np.abs(g_p - g_p_vjp).max() <= 1e-12 * np.abs(g_p_vjp).max()
-    own = w.copy()
-    u_own, g_p_own = layer.inv_jac_t(x, p, own, res, out=own)
-    assert u_own is own and np.array_equal(own, u)
-    assert g_p_own is None if p is None else np.array_equal(g_p_own, g_p)
-
-
-@pytest.mark.parametrize("name", list(_IJT_LAYERS))
-def test_column_inverse_steps_like_the_batch_inverse(rng, name):
-    """A layer's ``column_inverse`` step, run across the columns in order,
-    gives its batch ``inverse``: bit for bit for the elementwise layers,
-    ``Cumsum`` and ``Diff``; for ``BlockDiag``, substitution against
-    ``solve_triangular``, within 1e-14 relative (measured <= 8.0e-16 over 200
-    seeds at both offsets).  Signed zeros lead the first two columns, the
-    spline's inputs reach both tails, and 23 columns cut blocks of 6 at the
-    right edge, and at offset 3 also at the left."""
-    layer = _IJT_LAYERS[name]
-    lo, hi = (-0.2, 1.2) if isinstance(layer, tr.Spline) else (0.01, 0.99)
-    y = rng.uniform(lo, hi, (7, 23))
-    y[:2, :2] = -0.0, 0.0
-    p = rng.normal(0, 0.5, layer.n_params) if layer.n_params else None
-    step = layer.column_inverse(p, 7)
-    stepped = np.stack([step(np.ascontiguousarray(y[:, j]), j) for j in range(23)], axis=1)
-    expected = layer.inverse(y, p)
-    if isinstance(layer, tr.BlockDiag):
-        assert np.abs(stepped - expected).max() <= 1e-14 * np.abs(expected).max()
-    else:
-        assert stepped.tobytes() == expected.tobytes()
-
-
 def test_sequential_inverter_reads_parameters_at_construction():
     """A store changed after construction does not reach the inverter: it
     steps bit for bit like one built on a copy of the old values."""
@@ -350,13 +240,6 @@ def test_sequential_inverter_refuses_a_column_of_the_wrong_length(layers):
     inverter = tr.SequentialInverter(spec, tr.build_param_store(spec), 1)
     with pytest.raises(ValueError, match=r"shape \(7,\).* length 1$"):
         inverter.step(np.ones(7))
-
-
-def test_block_validation():
-    with pytest.raises(ValueError):
-        tr.BlockDiag("b", 3, 0)    # odd size
-    with pytest.raises(ValueError):
-        tr.BlockDiag("b", 4, 5)    # offset out of range
 
 
 # ---------------------------------------------------------------------------
