@@ -13,13 +13,19 @@ arithmetic with one lane per row.  The hash constants advance with the number
 of words hashed, which is the same for every row, so each lane is exact.
 Each key reaches ``np.random.Philox`` through an ``ISeedSequence`` that hands
 it back, so Philox and the samplers stay NumPy's own.
+
+``row_exponentials(seed, n, m, *key)[r]`` is
+``stream(seed, *key, r).exponential(1.0, size=m)`` without a generator per
+row.  Philox is counter-based: one bit generator set to a row's key, a zero
+counter and an empty buffer is that row's fresh stream, so a call re-keys one
+generator row by row.  Each call builds its own, so calls stay thread-safe.
 """
 from __future__ import annotations
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["stream", "row_streams"]
+__all__ = ["stream", "row_streams", "row_exponentials"]
 
 # numpy.random.SeedSequence's hash (numpy/random/bit_generator.pyx)
 _POOL = 4
@@ -40,6 +46,20 @@ def row_streams(seed: int, n_rows: int, *key: int) -> list[np.random.Generator]:
     """One independent generator per batch row; row r's is ``stream(seed, *key, r)``."""
     return [np.random.Generator(np.random.Philox(seed=_PhiloxKey(k)))
             for k in _philox_keys(seed, int(n_rows), key)]
+
+
+def row_exponentials(seed: int, n_rows: int, n_cols: int, *key: int) -> np.ndarray:
+    """(n_rows, n_cols) unit exponentials; row r is the first n_cols draws of
+    ``stream(seed, *key, r)``, so a wider draw extends a narrower one."""
+    keys = _philox_keys(seed, int(n_rows), key)
+    out = np.empty((len(keys), int(n_cols)))
+    gen = np.random.Generator(np.random.Philox(key=0))
+    fresh = gen.bit_generator.state          # zero counter, empty buffer
+    for k, row in zip(keys, out):
+        fresh["state"]["key"] = k
+        gen.bit_generator.state = fresh
+        gen.standard_exponential(out=row)
+    return out
 
 
 class _PhiloxKey(ISeedSequence):

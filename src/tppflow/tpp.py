@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transforms as tr
-from .rng import row_streams
+from .rng import row_exponentials, row_streams
 from .seqdata import EventSequence, PaddedBatch, unpad_batch
 from .splines import _BLOCK, sigmoid
 from .transforms import ChainCache, ParamStore, TransformSpec
@@ -178,24 +178,21 @@ def draw_extended(model: TppModel, batch_size: int, seed: int):
     """Unit-rate draws pushed through the inverse map, per-row streams.
 
     The first draw has ``_first_width`` columns; rows are extended (doubling)
-    until every last time reaches the horizon.  A row's stream continues
-    where it left off and the inverse is prefix-stable, so the result does
-    not depend on the first width or on how many columns other rows forced.
+    until every last time reaches the horizon.  An extension redraws each row
+    from its start, so its first columns come back unchanged, and the inverse
+    is prefix-stable: the result does not depend on the first width or on how
+    many columns other rows forced.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     n = _first_width(model)
-    streams = row_streams(seed, batch_size, 2)
-    gaps = np.stack([g.exponential(1.0, size=n) for g in streams])
     while True:
-        z = np.cumsum(gaps, axis=1)
+        z = np.cumsum(row_exponentials(seed, batch_size, n, 2), axis=1)
         t_ext = tr.compose_inverse(z, model.spec, model.params)
         if float(t_ext[:, -1].min()) >= model.horizon:
             break
         if 2 * n > MAX_EXTENDED:
             raise RuntimeError(f"extended sample length exceeded {MAX_EXTENDED}")
-        more = np.stack([g.exponential(1.0, size=n) for g in streams])
-        gaps = np.concatenate([gaps, more], axis=1)
         n *= 2
     keep = int((t_ext < model.horizon).sum(axis=1).max()) + 1
     return t_ext[:, :keep], z[:, :keep]

@@ -122,9 +122,10 @@ def test_column_steps_match_the_batch_inverse(seed):
 def test_seeded_draws_are_bitwise_reproducible(seed, monkeypatch):
     """On random models of every chain, ``sample`` called twice with one seed
     gives the same bits, the second time from warm parameter memos; and since
-    row streams continue where they left off and the inverse is
-    prefix-stable, a first draw of 1, 64 or 4 n0 columns gives the draws of
-    the estimated width n0, bit for bit, on one row and on several."""
+    an extension redraws each row from its start (its first columns come back
+    unchanged) and the inverse is prefix-stable, a first draw of 1, 64 or
+    4 n0 columns gives the draws of the estimated width n0, bit for bit, on
+    one row and on several."""
     rng = np.random.default_rng([seed, 3])
     for chain in RANDOM_CHAINS:
         model = random_model(rng, chain)

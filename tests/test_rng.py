@@ -1,14 +1,16 @@
-"""The stream contract: ``row_streams(seed, n, *key)[r]`` is ``stream(seed, *key, r)``.
+"""The stream contract: ``row_streams(seed, n, *key)[r]`` is ``stream(seed, *key, r)``,
+and row r of ``row_exponentials(seed, n, m, *key)`` is that stream's first m
+unit exponentials.
 
-``row_streams`` mirrors NumPy's ``SeedSequence`` hash to derive every row's
-Philox key at once, so these tests also fail if a NumPy release changes that
-hash.  They need no fixtures (CI runs them with ``--noconftest`` on the latest
-NumPy).
+Both mirror NumPy's ``SeedSequence`` hash to derive every row's Philox key at
+once, and ``row_exponentials`` writes Philox's ``state`` dict, so these tests
+also fail if a NumPy release changes that hash or that layout.  They need no
+fixtures (CI runs them with ``--noconftest`` on the latest NumPy).
 """
 import numpy as np
 import pytest
 
-from tppflow.rng import row_streams, stream
+from tppflow.rng import row_exponentials, row_streams, stream
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 20240917 * 1_000_003 + 7]
 KEYS = [(), (1,), (2,), (2, 7), (2**33,)]
@@ -32,8 +34,26 @@ def test_row_streams_equal_stream(seed, key, n_rows):
         assert np.array_equal(gen.exponential(1.0, size=200), ref.exponential(1.0, size=200)), r
 
 
+@pytest.mark.parametrize("n_rows", [0, 1, 513])
+@pytest.mark.parametrize("key", KEYS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_row_exponentials_equal_stream(seed, key, n_rows):
+    for n_cols in (0, 1, 200):
+        draws = row_exponentials(seed, n_rows, n_cols, *key)
+        assert draws.shape == (n_rows, n_cols) and draws.dtype == np.float64
+        for r, row in enumerate(draws):
+            assert np.array_equal(row, stream(seed, *key, r).exponential(1.0, size=n_cols)), (n_cols, r)
+
+
+@pytest.mark.parametrize("n_cols", [0, 1, 100])
+def test_row_exponentials_wider_draw_extends_the_narrower(n_cols):
+    # draw_extended redraws every row from its start when it doubles the width
+    wide = row_exponentials(3, 40, 2 * n_cols, 2)
+    assert np.array_equal(wide[:, :n_cols], row_exponentials(3, 40, n_cols, 2))
+
+
 def test_row_stream_extends_without_a_seam():
-    # draw_extended and sequential_sample draw a row's gaps in pieces
+    # sequential_sample draws a row's gaps in pieces
     split = [np.concatenate([g.exponential(1.0, size=64), g.exponential(1.0, size=64)])
              for g in row_streams(3, 5, 2)]
     whole = [g.exponential(1.0, size=128) for g in row_streams(3, 5, 2)]
@@ -41,12 +61,13 @@ def test_row_stream_extends_without_a_seam():
 
 
 def test_negative_seed_or_key_raises():
-    with pytest.raises(ValueError):
-        row_streams(-1, 3, 2)
-    with pytest.raises(ValueError):
-        row_streams(1, 3, -2)
-    with pytest.raises(ValueError):
-        row_streams(1, 3, 2, -7)
+    for draw in (row_streams, lambda seed, n, *key: row_exponentials(seed, n, 4, *key)):
+        with pytest.raises(ValueError):
+            draw(-1, 3, 2)
+        with pytest.raises(ValueError):
+            draw(1, 3, -2)
+        with pytest.raises(ValueError):
+            draw(1, 3, 2, -7)
 
 
 def test_precomputed_key_serves_only_a_philox_key():

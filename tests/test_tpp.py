@@ -7,7 +7,7 @@ from tppflow import tpp
 from tppflow import transforms as tr
 from tppflow.metrics import ks_exp1
 from tppflow.models import ModelKind, build_model
-from tppflow.rng import row_streams
+from tppflow.rng import row_streams, stream
 from tppflow.seqdata import EventSequence, PaddedBatch, pad_batch
 
 
@@ -140,10 +140,33 @@ def test_count_estimate_sizes_one_draw(monkeypatch):
         assert widths == [tpp._first_width(model)], widths
 
 
+@pytest.mark.parametrize("first", ["one", "four_pilots"])
+def test_draw_extended_is_the_row_streams(monkeypatch, first):
+    """Row r of a draw is the running sum of ``stream(seed, 2, r)``'s unit
+    exponentials, bit for bit, whether it took many doublings (first width 1)
+    or one draw (four times the pilot width)."""
+    model = make_model("tritpp", horizon=10.0, seed=4, noise=0.2, rate_init=20.0)
+    n0 = tpp._first_width(model)
+    monkeypatch.setattr(tpp, "_first_width", lambda m: 1 if first == "one" else 4 * n0)
+    inverse, widths = tr.compose_inverse, []
+
+    def counted(z, *args, **kwargs):
+        widths.append(np.shape(z)[1])
+        return inverse(z, *args, **kwargs)
+
+    monkeypatch.setattr(tr, "compose_inverse", counted)
+    _, z = tpp.draw_extended(model, 7, seed=11)
+    w, keep = widths[-1], z.shape[1]
+    assert (len(widths) > 5) if first == "one" else (widths == [4 * n0]), widths
+    for r in range(7):
+        assert np.array_equal(z[r], np.cumsum(stream(11, 2, r).exponential(1.0, size=w))[:keep]), r
+
+
 @pytest.mark.parametrize("kind,rate", [("rp", 20.0), ("tritpp", 20.0)])
 def test_draws_do_not_depend_on_first_width(monkeypatch, kind, rate):
-    """Row streams continue where they left off and the inverse is
-    prefix-stable, so any first width gives the same draws bit for bit.
+    """An extension redraws each row from its start, so its first columns
+    come back unchanged, and the inverse is prefix-stable: any first width
+    gives the same draws bit for bit.
     ``tests/test_random_models.py`` checks this on every chain at rates up to
     3; these two chains run ~200 events per row."""
     model = make_model(kind, horizon=10.0, seed=4, noise=0.2, rate_init=rate)
