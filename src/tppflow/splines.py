@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import softmax
 
 __all__ = ["RqsSpline", "Residuals", "MIN_BIN", "MIN_DERIV", "sigmoid", "reversed_cumsum",
-           "make_knots", "forward", "inverse_block", "inverse", "vjp", "inv_jac_t"]
+           "make_knots", "forward_block", "forward", "inverse_block", "inverse", "vjp", "inv_jac_t"]
 
 MIN_BIN = 1e-3
 MIN_DERIV = 1e-3
@@ -36,14 +36,15 @@ _DERIV_SHIFT = float(np.log(np.expm1(1.0 - MIN_DERIV)))
 # factor of two.  A power of two, so the cell of v is computed without
 # rounding.
 _GRID = 2048
-# Elements per block in forward, inverse and vjp, in transforms' in-place
-# differences, tpp._row_log_density, mjp._soft_counts and
-# mjp.posterior_curves.  A block's temporaries (64 kB each) stay in cache
-# and are recycled by the allocator, where whole-batch temporaries are paged
-# in afresh on every call.  The library removes such allocations rather than
-# set allocator options: glibc's trim and mmap thresholds belong to the
-# whole host process and are read only at start-up, and mallopt would change
-# every other allocation of the host (and exists only on glibc).
+# Elements per block of ``_by_blocks`` (the spline and bridge passes), of the
+# transforms' record-free forward through a stretch of elementwise layers and
+# in-place differences, tpp._row_log_density, mjp._soft_counts and
+# mjp.posterior_curves.  A block's temporaries (64 kB each) stay in cache and
+# are recycled by the allocator, where whole-batch temporaries are paged in
+# afresh on every call.  The library removes such allocations rather than set
+# allocator options: glibc's trim and mmap thresholds belong to the whole host
+# process and are read only at start-up, and mallopt would change every other
+# allocation of the host (and exists only on glibc).
 _BLOCK = 8192
 # Knots kept, one per parameter vector: a VI step touches 3, and training adds
 # 3 per step.  Each retains ~37 kB, mostly its two 2049-cell grid tables.  Keyed
@@ -286,20 +287,12 @@ def _slope_units(kn: Knots, k, xi):
     return dl, mu, u, 1.0 + mu * u, dl + xi * inner, inner + mu_xi
 
 
-def forward(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, keep: bool = True,
-            out: np.ndarray | None = None):
-    """Evaluate the spline and the log of its derivative, tails included.
-
-    Returns ``(y, logderiv, residuals)``; the residuals let ``vjp`` and
-    ``inv_jac_t`` skip the bin search and read nothing of ``x``.  Without
-    ``keep`` they are ``None`` and only y and logderiv are written out.
-    ``y`` is written into ``out`` when it is given, which may be ``x``.
-    """
-    kn = make_knots(spline, theta)
-    x = np.asarray(x, dtype=np.float64)
+def forward_block(kn: Knots, tails=None):
+    """The block function ``v -> (y, logderiv)`` of ``forward``; given ``tails``,
+    two lists, it appends the tail inputs to them and returns the record too."""
     d0, d1 = kn.d[0], kn.d[-1]
     log_d0, log_d1 = np.log(d0), np.log(d1)
-    x_lo, x_hi = [], []    # tail inputs, block by block
+    x_lo, x_hi = tails or ([], [])
 
     def block(v):
         xc = np.clip(v, 0.0, 1.0)
@@ -320,9 +313,23 @@ def forward(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, keep: bool = Tr
             x_hi.append(v[hi])
             y[hi] = 1.0 + d1 * (x_hi[-1] - 1.0)
             ld[hi] = log_d1
-        return (y, ld, k_small, xi, lo, hi) if keep else (y, ld)
+        return (y, ld, k_small, xi, lo, hi) if tails else (y, ld)
 
-    y, ld, *rec = _by_blocks(block, x, out=out)
+    return block
+
+
+def forward(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, keep: bool = True,
+            out: np.ndarray | None = None):
+    """Evaluate the spline and the log of its derivative, tails included.
+
+    Returns ``(y, logderiv, residuals)``; the residuals let ``vjp`` and
+    ``inv_jac_t`` skip the bin search and read nothing of ``x``.  Without
+    ``keep`` they are ``None`` and only y and logderiv are written out.
+    ``y`` is written into ``out`` when it is given, which may be ``x``.
+    """
+    x_lo, x_hi = tails = [], []    # tail inputs, block by block
+    y, ld, *rec = _by_blocks(forward_block(make_knots(spline, theta), tails if keep else None),
+                             np.asarray(x, dtype=np.float64), out=out)
     if not keep:
         return y, ld, None
     k, xi, lo, hi = rec

@@ -7,14 +7,15 @@ vector-Jacobian product, so densities, samples and gradients never touch an
 autodiff framework.  A layer's ``forward(x, p, keep, out)`` returns its
 output, its log-diagonal and a record its ``vjp`` and ``inv_jac_t`` can reuse
 (a spline's bins, positions and tail inputs, the sigmoid bridge's output;
-``None`` for every other layer, and for any layer run without ``keep``, when
-a spline writes out only its output and log-diagonal).  A constant
-log-diagonal is a read-only broadcast view.  ``inv_jac_t(x, p, w, res,
-out)`` returns u = J^-T w and the parameter cotangent of ``vjp`` at g_y = u,
-g_ld = 0 (``None`` for a layer without parameters).  A layer's
-``reads_input`` says whether its ``vjp`` and ``inv_jac_t`` read ``x``.
-``column_inverse(p, batch_size)`` builds the step ``(v, j) -> v`` from column
-j of the output to column j of the input, constants and column state inside.
+``None`` for every other layer, and for any layer run without ``keep``).  A
+constant log-diagonal is a read-only broadcast view.  An elementwise layer's
+``forward_block(p)`` is ``v -> (y, ld)`` on 1-D blocks, ``ld`` maybe a scalar.
+``inv_jac_t(x, p, w, res, out)`` returns u = J^-T w and the parameter
+cotangent of ``vjp`` at g_y = u, g_ld = 0 (``None`` for a layer without
+parameters).  A layer's ``reads_input`` says whether its ``vjp`` and
+``inv_jac_t`` read ``x``.  ``column_inverse(p, batch_size)`` builds the step
+``(v, j) -> v`` from column j of the output to column j of the input,
+constants and column state inside.
 
 ``forward``, ``inverse``, ``vjp`` and ``inv_jac_t`` take ``out`` in the
 sense of NumPy's ``out=``: the output is written there when it is given,
@@ -36,8 +37,10 @@ takes its mask from the zeros of the first pinned array it meets (the
 and zeroes one array there, at an end of the run: the ``Cumsum``'s input
 going forward (z repeats Lambda(T) over the padding), the ``Diff``'s output
 going back (padded times come back as T), the reverse sweep's cotangent just
-past the ``Cumsum``.  Inside the run pinned values stay finite (``CLAMP`` and
-the sigmoid's clip bound them), but the map is lower triangular and padding
+past the ``Cumsum``.  Going forward every log-diagonal is added in full, and
+the pinned ``logdiag`` held before the ``Diff`` is put back once, at the
+``Cumsum``.  Inside the run pinned values stay finite (``CLAMP`` and the
+sigmoid's clip bound them), but the map is lower triangular and padding
 trails the events, so no real position reads them: appending more padding
 never changes a result by even one bit.
 """
@@ -173,6 +176,9 @@ class Spline:
 
     def forward(self, x, p, keep=True, out=None):
         return sp.forward(self.rqs, p, x, keep=keep, out=out)
+
+    def forward_block(self, p):
+        return sp.forward_block(sp.make_knots(self.rqs, p))
 
     def inverse(self, y, p, out=None):
         return sp.inverse(self.rqs, p, y, out=out)
@@ -324,6 +330,10 @@ class Scale:
     def forward(self, x, p, keep=True, out=None):
         return np.multiply(np.exp(p[0]), x, out=out), np.broadcast_to(p[0], x.shape), None
 
+    def forward_block(self, p):
+        s, ld = np.exp(p[0]), p[0]
+        return lambda v: (s * v, ld)
+
     def inverse(self, y, p, out=None):
         return np.multiply(y, np.exp(-p[0]), out=out)
 
@@ -362,6 +372,10 @@ class FixedScale:
         ld = np.broadcast_to(np.log(self.value), x.shape)
         return np.multiply(self.value, x, out=out), ld, None
 
+    def forward_block(self, p):
+        ld = np.log(self.value)
+        return lambda v: (self.value * v, ld)
+
     def inverse(self, y, p, out=None):
         return np.divide(y, self.value, out=out)
 
@@ -375,8 +389,7 @@ class FixedScale:
         return np.divide(w, self.value, out=out), None
 
 
-# elementwise pieces of the bridges; the *_forward ones are block functions of
-# ``splines._by_blocks`` returning (value, log-diagonal)
+# elementwise pieces of the bridges; the *_forward ones are forward blocks
 
 
 def _clamped(v):
@@ -440,22 +453,21 @@ class Bridge:
         return self.kind != "sigmoid"  # sigmoid reads its record, its own output
 
     def forward(self, x, p, keep=True, out=None):
-        # the domain checks read the whole input before ``out`` (maybe x) is written
+        y, ld = _by_blocks(self.forward_block(p), x, out=out)
+        return y, ld, (y if keep and self.kind == "sigmoid" else None)   # the sigmoid's record
+
+    def forward_block(self, p):
         k = self.kind
-        if k == "psi":
-            if x.size and float(x.min()) < -1e-9:
-                raise DomainError("psi", f"input must be >= 0, min was {float(x.min()):g}")
-            return *_by_blocks(lambda v: (-np.expm1(-v), -v), x, out=out), None
-        if k == "sigmoid":
-            y, ld = _by_blocks(_sigmoid_forward, x, out=out)
-            # s is also the record that vjp and inv_jac_t read
-            return y, ld, (y if keep else None)
-        if x.size:
-            lo, hi = float(x.min()), float(x.max())
-            if lo < -1e-9 or hi > 1.0 + 1e-9:
-                raise DomainError(k, f"input must lie in (0, 1), range was [{lo:g}, {hi:g}]")
-        block = _psi_inv_forward if k == "psi_inv" else _logit_forward
-        return *_by_blocks(block, x, out=out), None
+        fn = {"psi": lambda v: (-np.expm1(-v), -v), "psi_inv": _psi_inv_forward,
+              "sigmoid": _sigmoid_forward, "logit": _logit_forward}[k]
+
+        def block(v):
+            # the domain check reads the block before ``out`` (maybe v) is written
+            if v.size and (float(v.min()) < -1e-9 or (k != "psi" and float(v.max()) > 1.0 + 1e-9)):
+                raise DomainError(k, f"input must lie in {'[0, inf)' if k == 'psi' else '(0, 1)'}, "
+                                     f"range was [{float(v.min()):g}, {float(v.max()):g}]")
+            return fn(v)
+        return fn if k == "sigmoid" else block
 
     def _inverse_block(self):
         return {"psi": _psi_inv_value, "psi_inv": lambda v: -np.expm1(-v),
@@ -470,16 +482,12 @@ class Bridge:
         return lambda v, j: block(v)
 
     def vjp(self, x, p, g_y, g_ld, res=None, out=None):
-        k = self.kind
-        if k == "psi":
-            block = lambda v, gy, gl: (gy * np.exp(-v) - gl,)
-        elif k == "psi_inv":
-            block = lambda v, gy, gl: ((gy + gl) * (1.0 / (1.0 - _clamped(v))),)
-        elif k == "sigmoid":
+        if self.kind == "sigmoid":
             x = sigmoid(x) if res is None else res      # the record s replaces x
-            block = lambda s, gy, gl: (gy * s * (1.0 - s) + gl * (1.0 - 2.0 * s),)
-        else:
-            block = _logit_vjp
+        block = {"psi": lambda v, gy, gl: (gy * np.exp(-v) - gl,),
+                 "psi_inv": lambda v, gy, gl: ((gy + gl) * (1.0 / (1.0 - _clamped(v))),),
+                 "sigmoid": lambda s, gy, gl: (gy * s * (1.0 - s) + gl * (1.0 - 2.0 * s),),
+                 "logit": _logit_vjp}[self.kind]
         return _by_blocks(block, x, g_y, g_ld, out=out)[0], None
 
     def inv_jac_t(self, x, p, w, res=None, out=None):
@@ -695,40 +703,50 @@ def _run_forward(times, spec, store, validate, keep=False):
     """Forward pass on a copy of ``times``.
 
     Without ``keep`` every layer writes its output over its input and no
-    layer builds a record.  With ``keep`` the layer inputs and forward
-    records are returned for a VJP, and only the layers whose ``vjp`` and
-    ``inv_jac_t`` read their input write a fresh output; the others write
-    over their input, which is then also the next layer's input, unless that
-    array is an earlier layer's record."""
+    layer builds a record; a stretch of layers with ``forward_block`` runs
+    together, each block of ``_BLOCK`` elements through every layer, which
+    adds its log-diagonal block into ``logdiag``.  With ``keep`` the layer
+    inputs and forward records are returned for a VJP, and only the layers
+    whose ``vjp`` and ``inv_jac_t`` read their input write a fresh output;
+    the others write over their input, which is then also the next layer's
+    input, unless that array is an earlier layer's record."""
     x = np.array(times, dtype=np.float64, order="C", ndmin=2)
     if validate:
         _validate_rows(x, "times")
     logdiag = np.zeros_like(x)
-    inputs, residuals, pins = [], [], []
-    pin = None
-    for i, layer in enumerate(spec.layers):
+    inputs, residuals = [], []
+    layers, run, stretch, pin = spec.layers, spec.pinned, [], None
+    for i, layer in enumerate(layers):
         p = _params_of(layer, store)
-        in_place = not (keep and (layer.reads_input or any(r is x for r in residuals)))
-        y, ld, res = layer.forward(x, p, keep, out=x if in_place else None)
-        if i not in spec.pinned:
-            pin = None
-        elif i == spec.pinned.start:
-            pin = _zeros_of(y)
-            free = None if pin is None else ~pin
-        if pin is None:
-            logdiag += ld
+        if not keep and hasattr(layer, "forward_block"):
+            stretch.append(layer.forward_block(p))
+            if i + 1 < len(layers) and hasattr(layers[i + 1], "forward_block"):
+                continue
+            flat, acc = x.reshape(-1), logdiag.reshape(-1)     # views: both are C-contiguous
+            for start in range(0, x.size, sp._BLOCK):
+                v, part = flat[start:start + sp._BLOCK], acc[start:start + sp._BLOCK]
+                for block in stretch:
+                    v, ld = block(v)
+                    part += ld
+                flat[start:start + sp._BLOCK] = v
+            y, res, stretch = x, None, []
         else:
-            # ld may be a read-only view.  logdiag is never -0.0, so skipping
-            # its pinned positions equals adding a pinned 0.0 there.
-            np.add(logdiag, ld, out=logdiag, where=free)
-            if i == spec.pinned[-1] - 1:       # the Cumsum's input
-                np.copyto(y, 0.0, where=pin)
+            in_place = not (keep and (layer.reads_input or any(r is x for r in residuals)))
+            y, ld, res = layer.forward(x, p, keep, out=x if in_place else None)
+            logdiag += ld
+            del ld       # free this layer's log-diagonal before the next layer runs
+        if run and i == run.start:
+            pin = _zeros_of(y)
+            kept = None if pin is None else logdiag[pin]
+        if pin is not None and i == run[-1] - 1:       # the Cumsum's input
+            np.copyto(y, 0.0, where=pin)
+        if pin is not None and i == run[-1]:
+            logdiag[pin] = kept
         if keep:
             inputs.append(x)
             residuals.append(res)
-        pins.append(pin)
         x = y
-        del y, ld, res   # free this layer's log-diagonal before the next layer runs
+    pins = [pin if i in run else None for i in range(len(layers))]    # one mask, one run
     return x, logdiag, inputs, pins, residuals
 
 

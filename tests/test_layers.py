@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import LAYER_CASES
+from tppflow import splines as sp
 from tppflow import transforms as tr
 
 # differences of eighth order, central, and of second order, one-sided for the probes
@@ -100,6 +101,35 @@ def test_out_semantics(case, rng):
     with np.errstate(over="ignore", divide="ignore"):   # J^-T is inf where forward saturates
         check(lambda xa, a, out: layer.inv_jac_t(xa, p, a, res, out=out), w,
               layer.inv_jac_t(x, p, w), layer.reads_input)
+
+
+@pytest.mark.parametrize("name", [n for n, c in LAYER_CASES.items()
+                                  if hasattr(c.layer, "forward_block")])
+def test_forward_block_gives_the_bits_of_forward(name, rng):
+    """An elementwise layer's ``forward_block``, run over the evaluation
+    blocks by ``splines._by_blocks``, gives the value and log-diagonal of
+    ``forward`` without ``keep``, bit for bit."""
+    case = LAYER_CASES[name]
+    layer = case.layer
+    p, x = draw(case, rng)
+    got = sp._by_blocks(layer.forward_block(p), x)
+    for part, want in zip(got, layer.forward(x, p, keep=False)[:2]):
+        same(part, want)
+
+
+@pytest.mark.parametrize("kind, bad", [("psi", -0.5), ("psi_inv", 1.5), ("logit", -0.2)])
+def test_forward_block_checks_each_block(kind, bad, rng):
+    """A bridge's domain check runs block by block: an input out of domain in
+    the second evaluation block raises ``DomainError`` naming the layer, from
+    ``forward_block`` and from ``forward`` written over its input."""
+    case = LAYER_CASES[kind]
+    x = draw(case, rng, limits=False)[1]
+    x.reshape(-1)[sp._BLOCK + 3] = bad
+    for call in (lambda: sp._by_blocks(case.layer.forward_block(None), x),
+                 lambda: case.layer.forward(x, None, keep=False, out=x)):
+        with pytest.raises(tr.DomainError, match=kind) as err:
+            call()
+        assert err.value.layer == kind
 
 
 def test_inv_jac_t_gives_the_vjp_parameter_cotangent(case, rng):

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from conftest import RANDOM_CHAINS, random_model
+from tppflow import splines as sp
 from tppflow import tpp
 from tppflow import transforms as tr
 from tppflow.seqdata import EventSequence, PaddedBatch, pad_batch
@@ -63,6 +64,33 @@ def test_random_models_are_bitwise_padding_invariant(seed):
         assert np.array_equal(grad_c, grad) and np.array_equal(g_t_c, g_t), chain
         if pin is not None:
             assert np.all(g_t[pin] == 0.0), chain
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_fused_forward_matches_the_layer_by_layer_pass(seed, monkeypatch):
+    """On random models of every chain, ``compose_forward``, which runs each
+    stretch of elementwise layers block by block, gives the bits of ``z`` and
+    ``logdiag`` of ``compose_forward_cached``, which runs one layer at a time,
+    on a padded batch spread over many evaluation blocks; and at the pinned
+    positions ``logdiag`` holds the bits of the layers before the pinned run
+    run alone."""
+    monkeypatch.setattr(sp, "_BLOCK", 16)
+    rng = np.random.default_rng([seed, 4])
+    for chain in RANDOM_CHAINS:
+        model = random_model(rng, chain)
+        spec, store = model.spec, model.params
+        batch = _rows(rng, model.horizon)
+        times = _append_horizon(batch.times, batch.horizon)
+        assert times.size > 4 * sp._BLOCK, chain
+        z, ld = tr.compose_forward(times, spec, store)
+        cache = tr.compose_forward_cached(times, spec, store)
+        assert np.array_equal(z, cache.z) and np.array_equal(ld, cache.logdiag), chain
+        if spec.pinned:
+            pin = cache.pins[spec.pinned.start]
+            assert pin is not None, chain
+            before = tr.TransformSpec(spec.layers[:spec.pinned.start])
+            ld_before = tr.compose_forward(times, before, store)[1]
+            assert ld[pin].tobytes() == ld_before[pin].tobytes(), chain
 
 
 @pytest.mark.parametrize("seed", range(8))

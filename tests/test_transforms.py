@@ -385,13 +385,14 @@ def _bench_model_and_batch(rng):
 
 def test_uncached_passes_peak_at_few_batch_arrays(rng):
     """The uncached passes write every layer's output over one array of their
-    own: at the bench chain and shape (100 rows of ~1400 events), the traced
-    peak of a forward pass stays within 5 batch-sized arrays (outputs
-    included) and that of an inverse pass within 3.5."""
+    own, and the forward makes no batch-sized log-diagonal for an elementwise
+    layer: at the bench chain and shape (100 rows of ~1400 events), the traced
+    peak of a forward pass stays within 3.5 batch-sized arrays (outputs
+    included; measured 2.97) and that of an inverse pass within 3.5."""
     model, batch = _bench_model_and_batch(rng)
     times = _append_horizon(batch.times, batch.horizon)
     z = tr.compose_forward(times, model.spec, model.params)[0]
-    for run, x, bound in ((tr.compose_forward, times, 5.0), (tr.compose_inverse, z, 3.5)):
+    for run, x, bound in ((tr.compose_forward, times, 3.5), (tr.compose_inverse, z, 3.5)):
         run(x, model.spec, model.params)
         tracemalloc.start()
         try:
