@@ -36,15 +36,15 @@ _DERIV_SHIFT = float(np.log(np.expm1(1.0 - MIN_DERIV)))
 # factor of two.  A power of two, so the cell of v is computed without
 # rounding.
 _GRID = 2048
-# Elements per block of ``_by_blocks`` (the spline and bridge passes), of the
-# transforms' record-free forward through a stretch of elementwise layers and
-# in-place differences, tpp._row_log_density, mjp._soft_counts and
+# Elements per block of ``_by_blocks`` (the spline and bridge passes), of both
+# transforms forward passes through a stretch of elementwise layers (records
+# included) and in-place differences, tpp._row_log_density, mjp._soft_counts and
 # mjp.posterior_curves.  A block's temporaries (64 kB each) stay in cache and
 # are recycled by the allocator, where whole-batch temporaries are paged in
-# afresh on every call.  The library removes such allocations rather than set
-# allocator options: glibc's trim and mmap thresholds belong to the whole host
-# process and are read only at start-up, and mallopt would change every other
-# allocation of the host (and exists only on glibc).
+# afresh on every call.  The library removes such allocations, or reuses them
+# (the cached pass's workspace), rather than set allocator options: glibc's
+# trim and mmap thresholds belong to the whole host process and are read only
+# at start-up, and mallopt would change every other allocation of the host.
 _BLOCK = 8192
 # Knots kept, one per parameter vector: a VI step touches 3, and training adds
 # 3 per step.  Each retains ~37 kB, mostly its two 2049-cell grid tables.  Keyed
@@ -287,12 +287,13 @@ def _slope_units(kn: Knots, k, xi):
     return dl, mu, u, 1.0 + mu * u, dl + xi * inner, inner + mu_xi
 
 
-def forward_block(kn: Knots, tails=None):
-    """The block function ``v -> (y, logderiv)`` of ``forward``; given ``tails``,
-    two lists, it appends the tail inputs to them and returns the record too."""
+def forward_block(kn: Knots, keep=False):
+    """The block function ``v -> (y, logderiv)`` of ``forward``.  With ``keep``,
+    ``(block, record)``: the block also returns the record's parts k, xi, lo
+    and hi, and ``record`` makes the ``Residuals`` of them once every block has run."""
     d0, d1 = kn.d[0], kn.d[-1]
     log_d0, log_d1 = np.log(d0), np.log(d1)
-    x_lo, x_hi = tails or ([], [])
+    x_lo, x_hi = [], []     # tail inputs, block by block
 
     def block(v):
         xc = np.clip(v, 0.0, 1.0)
@@ -313,9 +314,13 @@ def forward_block(kn: Knots, tails=None):
             x_hi.append(v[hi])
             y[hi] = 1.0 + d1 * (x_hi[-1] - 1.0)
             ld[hi] = log_d1
-        return (y, ld, k_small, xi, lo, hi) if tails else (y, ld)
+        return (y, ld, k_small, xi, lo, hi) if keep else (y, ld)
 
-    return block
+    def record(k, xi, lo, hi):
+        return Residuals(k, xi, lo if x_lo else None, hi if x_hi else None,
+                         np.concatenate(x_lo) if x_lo else None,
+                         np.concatenate(x_hi) if x_hi else None)
+    return (block, record) if keep else block
 
 
 def forward(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, keep: bool = True,
@@ -327,15 +332,10 @@ def forward(spline: RqsSpline, theta: np.ndarray, x: np.ndarray, keep: bool = Tr
     ``keep`` they are ``None`` and only y and logderiv are written out.
     ``y`` is written into ``out`` when it is given, which may be ``x``.
     """
-    x_lo, x_hi = tails = [], []    # tail inputs, block by block
-    y, ld, *rec = _by_blocks(forward_block(make_knots(spline, theta), tails if keep else None),
-                             np.asarray(x, dtype=np.float64), out=out)
-    if not keep:
-        return y, ld, None
-    k, xi, lo, hi = rec
-    return y, ld, Residuals(k, xi, lo if x_lo else None, hi if x_hi else None,
-                            np.concatenate(x_lo) if x_lo else None,
-                            np.concatenate(x_hi) if x_hi else None)
+    kn = make_knots(spline, theta)
+    block, record = forward_block(kn, keep=True) if keep else (forward_block(kn), None)
+    y, ld, *parts = _by_blocks(block, np.asarray(x, dtype=np.float64), out=out)
+    return y, ld, record(*parts) if keep else None
 
 
 def inverse_block(kn: Knots):

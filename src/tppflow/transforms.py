@@ -9,7 +9,9 @@ output, its log-diagonal and a record its ``vjp`` and ``inv_jac_t`` can reuse
 (a spline's bins, positions and tail inputs, the sigmoid bridge's output;
 ``None`` for every other layer, and for any layer run without ``keep``).  A
 constant log-diagonal is a read-only broadcast view.  An elementwise layer's
-``forward_block(p)`` is ``v -> (y, ld)`` on 1-D blocks, ``ld`` maybe a scalar.
+``forward_block(p)`` is ``v -> (y, ld, ...)`` on 1-D blocks, ``ld`` maybe a
+scalar; one with a record gives ``recorded_block(p)``, ``(block, record)``
+with the record's parts, of ``record_dtypes``, after ``ld``.
 ``inv_jac_t(x, p, w, res, out)`` returns u = J^-T w and the parameter
 cotangent of ``vjp`` at g_y = u, g_ld = 0 (``None`` for a layer without
 parameters).  A layer's ``reads_input`` says whether its ``vjp`` and
@@ -20,14 +22,16 @@ constants and column state inside.
 ``forward``, ``inverse``, ``vjp`` and ``inv_jac_t`` take ``out`` in the
 sense of NumPy's ``out=``: the output is written there when it is given,
 and ``out`` may be the input itself.  Every pass owns one array and lets
-each layer write over it: ``compose_forward`` and ``compose_inverse`` a copy
-of the caller's rows, the sweeps their cotangent.  ``compose_forward_cached``
-keeps what the sweeps read: a layer that reads its input writes a fresh
-output, and the others write over their input, which the cache then shares
-with the next layer.  The last reader of a cache consumes it
+each layer write over it: the forward passes a copy of the caller's rows,
+which becomes z, ``compose_inverse`` another, the sweeps their cotangent.
+``compose_forward_cached`` carves every array that only the sweeps read (a
+copy of each input a VJP reads, the records) from one workspace; z and
+``logdiag`` never live there.  The last reader of a cache consumes it
 (``inverse_jac_t_apply``, or ``chain_vjp_cached(..., consume=True)``, which
-starts its cotangent in ``cache.z``): each layer's input and record are
-dropped once past it, and a later pass raises ``ValueError``.
+starts its cotangent in ``cache.z``): at its end it drops the cache's
+entries and puts the workspace on a spare list, which holds up to 2 between
+calls, for the next cached pass; a later pass over the cache raises
+``ValueError``.
 
 Padding semantics: rows are padded by repeating the horizon, which makes the
 padded inter-event gaps exactly zero.  The layers from the ``Diff`` through
@@ -47,6 +51,7 @@ never changes a result by even one bit.
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -88,6 +93,8 @@ _ROW_BLOCK = 32768
 # 2 kB at H = 16.  Keyed by the bytes, not the id: ``params.values`` is edited in place.
 _MATRIX_MEMO = 32
 _tril_indices = functools.lru_cache(maxsize=None)(lambda h: np.tril_indices(h, -1))
+# Consumed caches' workspaces, kept mapped for the next cached pass: at most 2, one per VI cache
+_SPARES, _SPARE_LOCK = [], threading.Lock()
 
 
 class DomainError(ValueError):
@@ -179,6 +186,13 @@ class Spline:
 
     def forward_block(self, p):
         return sp.forward_block(sp.make_knots(self.rqs, p))
+
+    @property
+    def record_dtypes(self):     # bins (as ``_grid_table`` counts them), xi, the tail masks
+        return np.min_scalar_type(self.n_knots - 2), np.float64, np.bool_, np.bool_
+
+    def recorded_block(self, p):
+        return sp.forward_block(sp.make_knots(self.rqs, p), keep=True)
 
     def inverse(self, y, p, out=None):
         return sp.inverse(self.rqs, p, y, out=out)
@@ -406,9 +420,9 @@ def _logit_value(v):
 
 
 def _sigmoid_forward(v):
-    # log sigmoid'(x) = log s + log(1 - s), free of cancellation
-    ax = np.abs(v)
-    return sigmoid(v), -ax - 2.0 * np.log1p(np.exp(-ax))
+    # log sigmoid'(x) = log s + log(1 - s), free of cancellation; s is also the record
+    ax, s = np.abs(v), sigmoid(v)
+    return s, -ax - 2.0 * np.log1p(np.exp(-ax)), s
 
 
 def _psi_inv_forward(v):
@@ -447,14 +461,13 @@ class Bridge:
     def __post_init__(self):
         if self.kind not in ("psi", "psi_inv", "sigmoid", "logit"):
             raise ValueError(f"unknown bridge kind {self.kind!r}")
-
-    @property
-    def reads_input(self):
-        return self.kind != "sigmoid"  # sigmoid reads its record, its own output
+        # the sigmoid reads its record, its own output, and nothing of its input
+        object.__setattr__(self, "reads_input", self.kind != "sigmoid")
+        object.__setattr__(self, "record_dtypes", (np.float64,) * (self.kind == "sigmoid"))
 
     def forward(self, x, p, keep=True, out=None):
-        y, ld = _by_blocks(self.forward_block(p), x, out=out)
-        return y, ld, (y if keep and self.kind == "sigmoid" else None)   # the sigmoid's record
+        y, ld, *record = _by_blocks(self.forward_block(p), x, out=out)
+        return y, ld, (record[0] if keep and record else None)   # the sigmoid's record
 
     def forward_block(self, p):
         k = self.kind
@@ -468,6 +481,9 @@ class Bridge:
                                      f"range was [{float(v.min()):g}, {float(v.max()):g}]")
             return fn(v)
         return fn if k == "sigmoid" else block
+
+    def recorded_block(self, p):
+        return self.forward_block(p), (lambda s: s) if self.kind == "sigmoid" else None
 
     def _inverse_block(self):
         return {"psi": _psi_inv_value, "psi_inv": lambda v: -np.expm1(-v),
@@ -667,13 +683,12 @@ def _params_of(layer, store):
 class ChainCache:
     spec: TransformSpec
     store: ParamStore
-    # per layer input matrix; a layer without reads_input ran in place, so
-    # its entry is the next layer's (and holds its own output)
-    inputs: list
+    inputs: list            # per layer input: a workspace copy where its vjp reads it, else any
     residuals: list         # per layer forward record for its vjp (or None)
     pins: list              # per layer pin mask active at the layer OUTPUT (or None)
     z: np.ndarray | None    # None once a consuming chain_vjp_cached has run
     logdiag: np.ndarray
+    workspace: np.ndarray | None = None    # the bytes the inputs and records are carved from
 
 
 def _check_live(cache: ChainCache):
@@ -699,54 +714,71 @@ def _zeros_of(y):
     return pin if pin.any() else None
 
 
-def _run_forward(times, spec, store, validate, keep=False):
-    """Forward pass on a copy of ``times``.
+def _hand_on(cache):
+    """Drop a consumed cache's entries and put its workspace on the spare list, if it has room."""
+    cache.inputs[:] = cache.residuals[:] = [None] * len(cache.inputs)
+    with _SPARE_LOCK:
+        if cache.workspace is not None and len(_SPARES) < 2:
+            _SPARES.append(cache.workspace)
+    cache.workspace = None
 
-    Without ``keep`` every layer writes its output over its input and no
-    layer builds a record; a stretch of layers with ``forward_block`` runs
-    together, each block of ``_BLOCK`` elements through every layer, which
-    adds its log-diagonal block into ``logdiag``.  With ``keep`` the layer
-    inputs and forward records are returned for a VJP, and only the layers
-    whose ``vjp`` and ``inv_jac_t`` read their input write a fresh output;
-    the others write over their input, which is then also the next layer's
-    input, unless that array is an earlier layer's record."""
+
+def _run_forward(times, spec, store, validate, workspace=None):
+    """Forward pass on a copy of ``times``, every layer writing over it.
+
+    A stretch of layers with ``forward_block`` runs together, each block of
+    ``_BLOCK`` elements through every layer, which adds its log-diagonal block
+    into ``logdiag``; every other layer runs alone through ``forward``.  With
+    a ``workspace`` the pass also returns the copy of each input a VJP reads
+    and the records, written block by block into arrays carved from it."""
     x = np.array(times, dtype=np.float64, order="C", ndmin=2)
     if validate:
         _validate_rows(x, "times")
+    layers, run, keep, end = spec.layers, spec.pinned, workspace is not None, [0]
+
+    def carve(dtype=np.float64):    # the workspace's next 64-byte aligned array
+        start = end[0] - (workspace.ctypes.data + end[0]) % -64
+        end[0] = start + x.size * np.dtype(dtype).itemsize
+        return workspace[start:end[0]].view(dtype).reshape(x.shape)
+
     logdiag = np.zeros_like(x)
-    inputs, residuals = [], []
-    layers, run, stretch, pin = spec.layers, spec.pinned, [], None
+    inputs, records, stretch, pin = [], [], [], None
     for i, layer in enumerate(layers):
         p = _params_of(layer, store)
-        if not keep and hasattr(layer, "forward_block"):
-            stretch.append(layer.forward_block(p))
+        kept = carve() if keep and layer.reads_input else None
+        inputs.append(x if kept is None else kept)
+        records.append(layer.recorded_block(p) + ([carve(d) for d in layer.record_dtypes],)
+                       if keep and hasattr(layer, "recorded_block") else (None, None, ()))
+        if not hasattr(layer, "forward_block"):
+            if kept is not None:
+                np.copyto(kept, x)
+            logdiag += layer.forward(x, p, False, out=x)[1]
+        else:
+            stretch.append((records[-1][0] or layer.forward_block(p), kept, records[-1][2]))
             if i + 1 < len(layers) and hasattr(layers[i + 1], "forward_block"):
                 continue
-            flat, acc = x.reshape(-1), logdiag.reshape(-1)     # views: both are C-contiguous
+            flat, acc = x.reshape(-1), logdiag.reshape(-1)     # views: every array is C-contiguous
             for start in range(0, x.size, sp._BLOCK):
-                v, part = flat[start:start + sp._BLOCK], acc[start:start + sp._BLOCK]
-                for block in stretch:
-                    v, ld = block(v)
+                at = np.s_[start:start + sp._BLOCK]
+                v, part = flat[at], acc[at]
+                for block, copy, parts in stretch:
+                    if copy is not None:
+                        copy.reshape(-1)[at] = v
+                    v, ld, *rec = block(v)
                     part += ld
-                flat[start:start + sp._BLOCK] = v
-            y, res, stretch = x, None, []
-        else:
-            in_place = not (keep and (layer.reads_input or any(r is x for r in residuals)))
-            y, ld, res = layer.forward(x, p, keep, out=x if in_place else None)
-            logdiag += ld
-            del ld       # free this layer's log-diagonal before the next layer runs
+                    for a, r in zip(parts, rec):
+                        a.reshape(-1)[at] = r
+                flat[at] = v
+            stretch = []
         if run and i == run.start:
-            pin = _zeros_of(y)
-            kept = None if pin is None else logdiag[pin]
+            pin = _zeros_of(x)
+            pinned_ld = None if pin is None else logdiag[pin]
         if pin is not None and i == run[-1] - 1:       # the Cumsum's input
-            np.copyto(y, 0.0, where=pin)
+            np.copyto(x, 0.0, where=pin)
         if pin is not None and i == run[-1]:
-            logdiag[pin] = kept
-        if keep:
-            inputs.append(x)
-            residuals.append(res)
-        x = y
+            logdiag[pin] = pinned_ld
     pins = [pin if i in run else None for i in range(len(layers))]    # one mask, one run
+    residuals = [record(*parts) if record else None for _, record, parts in records]
     return x, logdiag, inputs, pins, residuals
 
 
@@ -761,8 +793,16 @@ def compose_forward(batch_times, spec: TransformSpec, store: ParamStore, validat
 
 
 def compose_forward_cached(batch_times, spec, store, validate: bool = True) -> ChainCache:
-    z, logdiag, inputs, pins, residuals = _run_forward(batch_times, spec, store, validate, keep=True)
-    return ChainCache(spec, store, inputs, residuals, pins, z, logdiag)
+    # per layer a float array if it reads its input, and its record's; a spare too small is dropped
+    n = np.size(batch_times)
+    nbytes = 63 + sum(-(-n * np.dtype(d).itemsize // 64) * 64 for layer in spec.layers
+                      for d in (np.float64,) * layer.reads_input + getattr(layer, "record_dtypes", ()))
+    with _SPARE_LOCK:
+        workspace = _SPARES.pop() if _SPARES else None
+    if workspace is None or workspace.nbytes < nbytes:
+        workspace = np.empty(nbytes, np.uint8)
+    z, logdiag, inputs, pins, residuals = _run_forward(batch_times, spec, store, validate, workspace)
+    return ChainCache(spec, store, inputs, residuals, pins, z, logdiag, workspace)
 
 
 def compose_inverse(z, spec: TransformSpec, store: ParamStore, validate: bool = True):
@@ -795,10 +835,10 @@ def chain_vjp_cached(cache: ChainCache, cot_z, cot_logdiag, consume: bool = Fals
     writes its input cotangent over it (``vjp(..., out=g)``), never over a
     layer input or record.  Without ``consume`` ``g`` is a copy of ``cot_z``
     and the cache may be read again.  With ``consume`` the sweep is the cache's
-    last reader: ``cot_z`` is copied into ``cache.z`` (unless a layer reads
-    that array as its record), which then serves as ``g`` and so ends up
-    holding ``grad_times``; each layer's input and record are dropped once
-    its VJP has run, and a later pass over the cache raises ``ValueError``.
+    last reader: ``cot_z`` is copied into ``cache.z``, which then serves as
+    ``g`` and so ends up holding ``grad_times``; at the end the cache's
+    entries are dropped, its workspace is handed on, and a later pass over
+    the cache raises ``ValueError``.
 
     Over the pinned run the sweep masks ``cot_logdiag`` at pinned positions
     and zeroes ``g`` there once, just past the ``Cumsum``'s VJP.
@@ -808,13 +848,11 @@ def chain_vjp_cached(cache: ChainCache, cot_z, cot_logdiag, consume: bool = Fals
     g_ld_full = np.asarray(cot_logdiag, dtype=np.float64)
     if np.shape(cot_z) != cache.z.shape or g_ld_full.shape != cache.z.shape:
         raise ValueError("cotangent shapes must match the forward output")
-    if consume and all(r is not cache.z for r in cache.residuals):
-        g = cache.z
+    if consume:
+        g, cache.z = cache.z, None
         np.copyto(g, cot_z)
     else:
         g = np.array(cot_z, dtype=np.float64, order="C")
-    if consume:
-        cache.z = None
     grad = np.zeros_like(store.values)
     pin = next((p for p in cache.pins if p is not None), None)    # the run's one mask
     g_ld_pinned = None if pin is None else np.where(pin, 0.0, g_ld_full)
@@ -825,10 +863,10 @@ def chain_vjp_cached(cache: ChainCache, cot_z, cot_logdiag, consume: bool = Fals
                            cache.residuals[i], out=g)
         if pin is not None and i == spec.pinned[-1]:
             np.copyto(g, 0.0, where=pin)   # the cotangent of the Cumsum's input
-        if consume:
-            cache.inputs[i] = cache.residuals[i] = None
         if g_p is not None:
             grad[store.slices[layer.name]] += g_p
+    if consume:
+        _hand_on(cache)
     return grad, g
 
 
@@ -851,9 +889,9 @@ def inverse_jac_t_apply(cache: ChainCache, w):
     for i, layer in enumerate(spec.layers):
         u, g_p = layer.inv_jac_t(cache.inputs[i], _params_of(layer, store), u,
                                  cache.residuals[i], out=u)
-        cache.inputs[i] = cache.residuals[i] = None
         if g_p is not None:
             grad[store.slices[layer.name]] -= g_p
+    _hand_on(cache)
     return grad
 
 

@@ -76,6 +76,13 @@ def rng():
     return np.random.default_rng(0)
 
 
+@pytest.fixture
+def no_spare_workspaces():
+    """An empty spare list of cached-pass workspaces, so that the next cached
+    pass allocates its own, whatever ran before (traced-memory readings)."""
+    tr._SPARES.clear()
+
+
 ALL_KINDS = KINDS
 
 

@@ -572,14 +572,14 @@ def test_soft_counts_bits_do_not_depend_on_the_block(case, gamma, monkeypatch):
         assert all(np.array_equal(g, w) for g, w in zip(got, outs[0]))
 
 
-def test_vi_step_temporaries_stay_cache_sized():
+def test_vi_step_temporaries_stay_cache_sized(no_spare_workspaces):
     """At the benchmark's VI shape (512 paths of ~25 segments, 200
     observations, K = 3) the soft counts peak at <= 2 MB of traced memory,
     also at gamma = 1e3 where every window holds every observation (40.6 MB
     when 2**20 window terms were evaluated at once), and one relaxed ELBO
-    with its gradients peaks at <= 12 (S, N-1, K, K) arrays (11.3 here; 14.1
-    with the whole-batch soft counts, 12.3 with them blocked but the pairwise
-    cotangent in fresh arrays)."""
+    with its gradients peaks at <= 12 (S, N-1, K, K) arrays (11.3 here, with
+    no spare chain workspace at hand; 14.1 with the whole-batch soft counts,
+    12.3 with them blocked but the pairwise cotangent in fresh arrays)."""
     rng = np.random.default_rng(7)
     horizon = 50.0
     p = mjp.MmppParams(np.array([0.52, 0.22, 0.26]), np.full((3, 3), 0.1),

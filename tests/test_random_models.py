@@ -66,14 +66,66 @@ def test_random_models_are_bitwise_padding_invariant(seed):
             assert np.all(g_t[pin] == 0.0), chain
 
 
+def _layer_by_layer(times, spec, store):
+    """The cached pass walked one layer at a time, each through its own
+    ``forward(x, p, keep=True)`` into fresh arrays, with the pin rule of the
+    ``transforms`` module docstring: the reference of the fused pass."""
+    x, run, pin = np.array(times, dtype=np.float64), spec.pinned, None
+    logdiag, inputs, records = np.zeros_like(x), [], []
+    for i, layer in enumerate(spec.layers):
+        y, ld, record = layer.forward(x, store.view(layer.name) if layer.n_params else None, True)
+        logdiag = logdiag + ld
+        if run and i == run.start:
+            pin = tr._zeros_of(y)
+            pinned_ld = None if pin is None else logdiag[pin]
+        if pin is not None and i == run[-1] - 1:
+            y = np.where(pin, 0.0, y)
+        if pin is not None and i == run[-1]:
+            logdiag[pin] = pinned_ld
+        inputs.append(x)
+        records.append(record)
+        x = y
+    pins = [pin if i in run else None for i in range(len(spec.layers))]
+    return tr.ChainCache(spec, store, inputs, records, pins, x, logdiag)
+
+
+def _same_bits(a, b):
+    if a is None or b is None:
+        return a is b
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _check_fused_against_reference(times, spec, store, what):
+    """Both forward passes against ``_layer_by_layer``: z and logdiag, every
+    input a layer's VJP reads, every record field, and the gradients of
+    every sweep over the two caches; all bit for bit."""
+    ref, cache = _layer_by_layer(times, spec, store), tr.compose_forward_cached(times, spec, store)
+    for z, ld in (tr.compose_forward(times, spec, store), (cache.z, cache.logdiag)):
+        assert _same_bits(z, ref.z) and _same_bits(ld, ref.logdiag), what
+    for layer, x, x_ref, res, res_ref in zip(spec.layers, cache.inputs, ref.inputs,
+                                             cache.residuals, ref.residuals):
+        assert not layer.reads_input or _same_bits(x, x_ref), (what, layer)
+        fields = zip(res, res_ref) if isinstance(res, sp.Residuals) else [(res, res_ref)]
+        assert all(_same_bits(a, b) for a, b in fields), (what, layer)
+    cot_z, cot_ld, w = np.random.default_rng(5).normal(0.0, 1.0, (3,) + ref.z.shape)
+    for consume in (False, True):
+        for got, want in zip(tr.chain_vjp_cached(cache, cot_z, cot_ld, consume=consume),
+                             tr.chain_vjp_cached(ref, cot_z, cot_ld, consume=consume)):
+            assert _same_bits(got, want), (what, consume)
+    if all(pin is None for pin in ref.pins):      # the forward-order sweep wants no pins
+        ref, cache = _layer_by_layer(times, spec, store), tr.compose_forward_cached(times, spec, store)
+        assert _same_bits(tr.inverse_jac_t_apply(cache, w), tr.inverse_jac_t_apply(ref, w)), what
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_fused_forward_matches_the_layer_by_layer_pass(seed, monkeypatch):
-    """On random models of every chain, ``compose_forward``, which runs each
-    stretch of elementwise layers block by block, gives the bits of ``z`` and
-    ``logdiag`` of ``compose_forward_cached``, which runs one layer at a time,
-    on a padded batch spread over many evaluation blocks; and at the pinned
-    positions ``logdiag`` holds the bits of the layers before the pinned run
-    run alone."""
+    """On random models of every chain, both forward passes, which run each
+    stretch of elementwise layers block by block (the cached one writing the
+    kept inputs and records block by block into its workspace), give the bits
+    of the layer-by-layer reference, on a padded batch spread over many
+    evaluation blocks and on pin-free rows the model draws itself; and at the
+    pinned positions ``logdiag`` holds the bits of the layers before the
+    pinned run run alone."""
     monkeypatch.setattr(sp, "_BLOCK", 16)
     rng = np.random.default_rng([seed, 4])
     for chain in RANDOM_CHAINS:
@@ -82,11 +134,12 @@ def test_fused_forward_matches_the_layer_by_layer_pass(seed, monkeypatch):
         batch = _rows(rng, model.horizon)
         times = _append_horizon(batch.times, batch.horizon)
         assert times.size > 4 * sp._BLOCK, chain
-        z, ld = tr.compose_forward(times, spec, store)
-        cache = tr.compose_forward_cached(times, spec, store)
-        assert np.array_equal(z, cache.z) and np.array_equal(ld, cache.logdiag), chain
+        _check_fused_against_reference(times, spec, store, (chain, "padded"))
+        drawn = tr.compose_inverse(np.cumsum(rng.exponential(1.0, (4, 20)), axis=1), spec, store)
+        _check_fused_against_reference(drawn, spec, store, (chain, "drawn"))
         if spec.pinned:
-            pin = cache.pins[spec.pinned.start]
+            z, ld = tr.compose_forward(times, spec, store)
+            pin = tr.compose_forward_cached(times, spec, store).pins[spec.pinned.start]
             assert pin is not None, chain
             before = tr.TransformSpec(spec.layers[:spec.pinned.start])
             ld_before = tr.compose_forward(times, before, store)[1]

@@ -379,13 +379,13 @@ def test_entropy_validation():
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_consuming_vjp_gives_the_same_bits(rng, kind):
-    """A consuming sweep runs in ``cache.z`` and drops each cache entry once
-    past it, never writing an array another layer still reads (the sigmoid
-    bridge's record is the next spline's input).  On the padded rows
-    of ``test_chain_vjp_padded_batch_in_spline_tails`` (pinned gaps, times
-    past the horizon in the spline tails) its gradients equal those of a
-    sweep that leaves the cache alone, bit for bit, and a cache left alone
-    gives the same bits when it is swept again."""
+    """A consuming sweep runs in ``cache.z``, never writing an array a layer
+    still reads (the sigmoid bridge's record lives in the workspace, apart
+    from z), and drops the cache's entries and workspace at its end.  On the
+    padded rows of ``test_chain_vjp_padded_batch_in_spline_tails`` (pinned
+    gaps, times past the horizon in the spline tails) its gradients equal
+    those of a sweep that leaves the cache alone, bit for bit, and a cache
+    left alone gives the same bits when it is swept again."""
     model = make_model(kind, horizon=10.0, seed=8, noise=0.4)
     times = np.full((3, 26), 13.0)
     for r, n in enumerate((25, 12, 4)):
@@ -400,13 +400,16 @@ def test_consuming_vjp_gives_the_same_bits(rng, kind):
         assert any(res.hi is not None for layer, res in zip(layers, kept.residuals)
                    if isinstance(layer, tr.Spline))
     if kind == "tritpp":
-        assert any(res is x for res, x in zip(kept.residuals, kept.inputs[1:]))
+        record = next(res for layer, res in zip(layers, kept.residuals)
+                      if getattr(layer, "kind", None) == "sigmoid")
+        assert np.shares_memory(record, kept.workspace) and not np.shares_memory(record, kept.z)
 
     g, g_t = tr.chain_vjp_cached(kept, cot_z, cot_ld)
     g_again, g_t_again = tr.chain_vjp_cached(kept, cot_z, cot_ld)
     consumed = tr.compose_forward_cached(times, model.spec, model.params)
     g_c, g_t_c = tr.chain_vjp_cached(consumed, cot_z, cot_ld, consume=True)
-    assert consumed.z is None and all(x is None for x in consumed.inputs)
+    assert consumed.z is None and consumed.workspace is None
+    assert all(x is None for x in consumed.inputs + consumed.residuals)
     for a, b in ((g_again, g), (g_c, g), (g_t_again, g_t), (g_t_c, g_t)):
         assert np.array_equal(a, b)
 
